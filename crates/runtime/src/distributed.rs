@@ -50,7 +50,7 @@
 use crate::compiled::{lower_for, make_backend, BState, Backend, EntityBackend, OfferView};
 use crate::config::{BackendChoice, RuntimeConfig};
 use crate::entity::pack_msg_event;
-use crate::exec::{backend_desc, replay_conformance, trace_id_for, Tally};
+use crate::exec::{backend_desc, trace_id_for, ReplayCache, Tally};
 use crate::metrics::{
     GaugeSnapshot, LinkReport, Metrics, RuntimeReport, SessionReport, StageBreakdown, StallRecord,
     ViolationRecord,
@@ -69,17 +69,14 @@ use semantics::hash::fx_hash;
 use semantics::term::{Label, OccTable};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use transport::{
-    poll_messages, poll_messages_into, Addr, Backoff, BatchConfig, Channel, Link, WireMsg,
+    poll_messages, poll_messages_into, Addr, Backoff, BatchConfig, Channel, Link, Readiness,
+    WireMsg,
 };
-
-/// Read-poll window for links with work in flight: small enough that a
-/// sweep over every link stays cheap, the adaptive park supplies the
-/// idle waiting.
-const HOT_POLL: Duration = Duration::from_micros(50);
 
 /// Timing and address knobs of the distributed runtime. The defaults
 /// suit loopback; tests shrink them, WAN deployments stretch them.
@@ -99,9 +96,11 @@ pub struct DistributedConfig {
     pub join_deadline: Duration,
     /// Handshake (Hello/Welcome) timeout per connection.
     pub handshake_timeout: Duration,
-    /// Socket read-poll window when a link is idle, and the cap on the
-    /// hub's adaptive park between empty sweeps (drives idle latency;
-    /// busy links are polled with a much smaller window).
+    /// The longest the hub waits for readiness after a sweep that moved
+    /// nothing. Traffic on any link or a pending connection ends the
+    /// wait at once, so this bounds only how late timers (heartbeats,
+    /// idle acks, supervision deadlines) fire on an idle hub. It also
+    /// bounds a read that readiness reported spuriously.
     pub poll: Duration,
     /// Global no-progress guard: if *nothing* happens for this long the
     /// run aborts every live session rather than hang.
@@ -413,6 +412,11 @@ impl EntityLink {
     fn report(&self) -> LinkReport {
         report_of(&self.link)
     }
+
+    /// The connected socket's descriptor, for the readiness wait.
+    fn raw_fd(&self) -> Option<RawFd> {
+        self.chan.as_ref().map(|c| c.conn.as_raw_fd())
+    }
 }
 
 /// Mirror the links' cumulative batching stats into the live metrics
@@ -589,17 +593,27 @@ pub fn run_hub_obs(
     let mut messages = 0usize;
     let mut last_progress = Instant::now();
     let mut dead_entity: Option<PlaceId> = None;
-    // Adaptive park: consecutive sweeps that moved nothing. A few free
-    // yields first (traffic usually follows traffic), then exponential
-    // sleeps capped at `dcfg.poll`.
-    let mut idle_sweeps = 0u32;
+    let mut replay_cache = ReplayCache::default();
     let mut inbuf: Vec<(u64, WireMsg)> = Vec::new();
+    // Readiness set: slot 0 is the listener, slot `1 + idx` is link
+    // `idx` (`None` while it has no connection).
+    let mut wait = Readiness::default();
+    // Did the previous sweep move anything? Then the next wait only
+    // samples readiness; otherwise it parks until a socket wakes it or
+    // `dcfg.poll` elapses (timers: heartbeats, idle acks, deadlines).
+    let mut progress = true;
 
     'run: loop {
         if next >= cfg.sessions && sessions.is_empty() {
             break;
         }
-        let mut progress = false;
+        wait.clear();
+        wait.push(Some(listener.as_raw_fd()));
+        for link in &links {
+            wait.push(link.raw_fd());
+        }
+        wait.wait_readable(if progress { Duration::ZERO } else { dcfg.poll })?;
+        progress = false;
 
         // Keep the window full.
         while next < cfg.sessions && sessions.len() < window {
@@ -625,7 +639,10 @@ pub fn run_hub_obs(
         }
 
         // Accept (re)connections.
-        while let Ok(Some(conn)) = listener.accept() {
+        while wait.ready(0) {
+            let Ok(Some(conn)) = listener.accept() else {
+                break;
+            };
             match hub_handshake(conn, dcfg) {
                 Ok((place, last_seen, mut chan, leftovers)) => {
                     let Some(&idx) = place_index.get(&place) else {
@@ -646,9 +663,8 @@ pub fn run_hub_obs(
                         chan.conn.shutdown();
                         continue;
                     }
-                    // Connected links are swept with a tiny poll window;
-                    // idle waiting is the adaptive park's job.
-                    let _ = chan.conn.set_read_timeout(Some(HOT_POLL));
+                    // This sweep's readiness described the old socket.
+                    wait.forget(1 + idx);
                     let was_connected = link.ever_connected;
                     link.chan = Some(chan);
                     link.ever_connected = true;
@@ -701,6 +717,7 @@ pub fn run_hub_obs(
                         &mut events,
                         metrics.as_ref(),
                         &mut tally,
+                        &mut replay_cache,
                         rec.as_ref(),
                     );
                 }
@@ -708,11 +725,15 @@ pub fn run_hub_obs(
             }
         }
 
-        // Poll every connected link and process its traffic. Replies
-        // and forwards queue on the destination links; they go out in
-        // the flush phase below, one vectored write per link per sweep.
+        // Read every link the wait found readable and process its
+        // traffic. Replies and forwards queue on the destination links;
+        // they go out in the flush phase below, one vectored write per
+        // link per sweep.
         let mut closed: Vec<(u64, SessionEnd)> = Vec::new();
         for idx in 0..n {
+            if !wait.ready(1 + idx) {
+                continue;
+            }
             let Some(ch) = links[idx].chan.as_mut() else {
                 continue;
             };
@@ -759,6 +780,7 @@ pub fn run_hub_obs(
             &mut events,
             metrics.as_ref(),
             &mut tally,
+            &mut replay_cache,
             rec.as_ref(),
         );
 
@@ -871,24 +893,6 @@ pub fn run_hub_obs(
             ));
             break 'run;
         }
-
-        if sessions.is_empty() && next >= cfg.sessions {
-            break;
-        }
-
-        // Adaptive park: back off only when a full sweep moved nothing.
-        if progress {
-            idle_sweeps = 0;
-        } else {
-            idle_sweeps += 1;
-            if idle_sweeps <= 3 {
-                std::thread::yield_now();
-            } else {
-                let exp = (idle_sweeps - 3).min(6); // 100µs … 3.2ms pre-cap
-                let nap = Duration::from_micros(50u64 << exp).min(dcfg.poll);
-                std::thread::sleep(nap);
-            }
-        }
     }
 
     // Abort whatever is still live (dead entity or stall) — including
@@ -925,6 +929,7 @@ pub fn run_hub_obs(
             SessionEnd::Aborted,
             metrics.as_ref(),
             &mut tally,
+            &mut replay_cache,
             rec.as_ref(),
         );
     }
@@ -945,7 +950,16 @@ pub fn run_hub_obs(
     let drain_deadline = Instant::now() + dcfg.reconnect_deadline;
     let mut done: Vec<bool> = links.iter().map(|l| Some(l.place) == dead_entity).collect();
     while Instant::now() < drain_deadline && done.iter().any(|d| !d) {
-        while let Ok(Some(conn)) = listener.accept() {
+        wait.clear();
+        wait.push(Some(listener.as_raw_fd()));
+        for (link, &d) in links.iter().zip(&done) {
+            wait.push(if d { None } else { link.raw_fd() });
+        }
+        wait.wait_readable(dcfg.poll)?;
+        while wait.ready(0) {
+            let Ok(Some(conn)) = listener.accept() else {
+                break;
+            };
             let Ok((place, last_seen, mut chan, leftovers)) = hub_handshake(conn, dcfg) else {
                 continue;
             };
@@ -956,6 +970,7 @@ pub fn run_hub_obs(
             if let Some(old) = link.chan.take() {
                 old.conn.shutdown();
             }
+            wait.forget(1 + idx); // described the old socket
             let welcome = WireMsg::Welcome {
                 last_seen: link.link.last_delivered(),
             };
@@ -981,7 +996,7 @@ pub fn run_hub_obs(
             }
         }
         for (idx, done_flag) in done.iter_mut().enumerate() {
-            if *done_flag {
+            if *done_flag || !wait.ready(1 + idx) {
                 continue;
             }
             let link = &mut links[idx];
@@ -1012,7 +1027,6 @@ pub fn run_hub_obs(
                 }
             }
         }
-        std::thread::sleep(Duration::from_micros(300));
     }
 
     let per_link: BTreeMap<String, LinkReport> = links
@@ -1227,6 +1241,7 @@ fn finish_closed(
     events: &mut Vec<String>,
     metrics: &Metrics,
     tally: &mut Tally,
+    replay_cache: &mut ReplayCache,
     rec: Option<&Recorder>,
 ) {
     for (id, end) in closed {
@@ -1242,11 +1257,12 @@ fn finish_closed(
                 events,
             );
         }
-        finalize_hub_session(d, cfg, s, end, metrics, tally, rec);
+        finalize_hub_session(d, cfg, s, end, metrics, tally, replay_cache, rec);
     }
 }
 
 /// Note: `Close` frames are pushed by the caller (it owns the links).
+#[allow(clippy::too_many_arguments)]
 fn finalize_hub_session(
     d: &Derivation,
     cfg: &RuntimeConfig,
@@ -1254,6 +1270,7 @@ fn finalize_hub_session(
     end: SessionEnd,
     metrics: &Metrics,
     tally: &mut Tally,
+    replay_cache: &mut ReplayCache,
     rec: Option<&Recorder>,
 ) {
     s.mark(Instant::now(), Mark::Notify);
@@ -1268,7 +1285,7 @@ fn finalize_hub_session(
         Some(s.notify_ns / 1000),
     );
     metrics.stages.record(&stages);
-    let (violation, may_terminate) = replay_conformance(&d.service, &s.trace);
+    let (violation, may_terminate) = replay_cache.replay(&d.service, &s.trace);
     let conforms = violation.is_none() && end == SessionEnd::Terminated && may_terminate;
     if let Some(rec) = rec {
         if let Some((name, place, _)) = &violation {
@@ -1305,7 +1322,10 @@ fn finalize_hub_session(
         violation: violation.as_ref().map(|(n, p, _)| (n.clone(), *p)),
         primitives: s.trace.len(),
         messages: s.messages,
-        steps: 0,
+        // Exact at close: `decide` only closes once every entity's last
+        // status is current, and a parked entity steps again only after
+        // new data — which would have made that status stale.
+        steps: s.status.iter().flatten().map(|st| st.steps as usize).sum(),
         latency_us,
         stages,
         trace: if keep_trace { s.trace } else { Vec::new() },
@@ -1329,9 +1349,11 @@ pub struct ServeConfig {
     pub refuse: Vec<(String, PlaceId)>,
     /// Jitter seed for the reconnect backoff.
     pub seed: u64,
-    /// Read-poll window while idle — the entity parks inside this read,
-    /// so it doubles as the idle loop latency. Busy loops use a tiny
-    /// window instead.
+    /// The longest the entity waits for readiness on its socket while
+    /// no session is runnable. Frames from the hub end the wait at once,
+    /// so this bounds only how late timers (heartbeats, idle acks, the
+    /// hub-silence check) fire on an idle entity; it also bounds the
+    /// handshake reads and a read that readiness reported spuriously.
     pub poll: Duration,
     pub heartbeat: Duration,
     /// Send-side coalescing knobs, mirroring [`DistributedConfig`].
@@ -1460,10 +1482,7 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
     let mut last_hb = Instant::now();
     let mut outbox: Vec<WireMsg> = Vec::new();
     let mut inbuf: Vec<(u64, WireMsg)> = Vec::new();
-    // The entity's one socket is its natural park: a long read timeout
-    // when no session is runnable (data wakes it instantly), a tiny one
-    // while work is in flight. Tracked to avoid redundant setsockopts.
-    let mut cur_poll = cfg.poll;
+    let mut wait = Readiness::default();
 
     loop {
         // (Re)connect under the backoff policy.
@@ -1475,12 +1494,27 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
                 outcome.link = stats_of(&link);
                 return Ok(outcome);
             }
+            let resent_before = link.stats.frames_resent;
             match entity_connect(cfg, &mut link, &mut backoff) {
                 Ok((c, leftovers)) => {
                     chan = Some(c);
-                    cur_poll = cfg.poll; // try_connect left it at cfg.poll
                     backoff.reset();
                     last_heard = Instant::now();
+                    // The entity's side of a resume: the hub cannot see
+                    // what this end retransmitted, so the merged trace
+                    // learns it from here. (A recorder exists only once
+                    // a traced `Open` arrived, i.e. never on first join.)
+                    if let Some(rec) = &obs.rec {
+                        // The peer is the hub, place 0; the event's own
+                        // place (the recorder's) tells it from the
+                        // hub's record of the same resume.
+                        let reconnects = link.stats.reconnects.saturating_sub(1);
+                        rec.record_global(EventKind::LinkReconnect, 0, reconnects);
+                        let resent = link.stats.frames_resent - resent_before;
+                        if resent > 0 {
+                            rec.record_global(EventKind::LinkRetransmit, 0, resent);
+                        }
+                    }
                     for (seq, m) in leftovers {
                         if let Some(m) = link.accept(seq, m) {
                             entity_handle(
@@ -1514,22 +1548,29 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
             }
         }
 
-        // Drain the wire. The read timeout adapts to the workload:
-        // while sessions are runnable (or a shutdown drain is pending)
-        // the read must not stall the stepping below, so it is tiny;
-        // once everything is parked, this read IS the idle wait.
+        // Drain the wire. The entity's one socket is its park: while
+        // sessions are runnable the wait only samples readiness so the
+        // stepping below never stalls; otherwise this wait IS the idle
+        // wait — data from the hub (an Open, a Close, an ack the
+        // shutdown linger awaits) ends it at once. Every iteration ends
+        // with a flush, so no frames sit queued across the wait.
         let mut dropped = false;
         if let Some(ch) = chan.as_mut() {
-            let want = if runnable.is_empty() && !shutdown && link.queued_frames() == 0 {
+            wait.clear();
+            wait.push(Some(ch.conn.as_raw_fd()));
+            wait.wait_readable(if runnable.is_empty() {
                 cfg.poll
             } else {
-                HOT_POLL
-            };
-            if want != cur_poll && ch.conn.set_read_timeout(Some(want)).is_ok() {
-                cur_poll = want;
-            }
+                Duration::ZERO
+            })
+            .map_err(|e| format!("place {}: readiness wait failed: {e}", cfg.place))?;
             inbuf.clear();
-            match poll_messages_into(&mut ch.conn, &mut ch.dec, &mut inbuf) {
+            let polled = if wait.ready(0) {
+                poll_messages_into(&mut ch.conn, &mut ch.dec, &mut inbuf)
+            } else {
+                Ok(())
+            };
+            match polled {
                 Ok(()) => {
                     if !inbuf.is_empty() {
                         last_heard = Instant::now();

@@ -105,26 +105,6 @@ pub fn trace_id_for(seed: u64) -> u64 {
     semantics::hash::fx_hash(&(seed, 0x0b5_7ace_u64)).max(1)
 }
 
-/// Superseded spelling of "[`run`] into a caller-supplied registry":
-/// the registry now travels in the config
-/// ([`RuntimeConfig::registry`]), so one `run` entry point covers
-/// traced and untraced runs.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `run` with `RuntimeConfig::registry(..)` / `.record(true)` instead"
-)]
-pub fn run_obs(
-    d: &Derivation,
-    cfg: &RuntimeConfig,
-    registry: Option<Arc<Registry>>,
-) -> RuntimeReport {
-    let mut cfg = cfg.clone();
-    if let Some(r) = registry {
-        cfg.registry = Some(r);
-    }
-    run(d, &cfg)
-}
-
 /// Post-run recorder export: embed the trace metadata in the report and
 /// attach each violating/aborted session's flight-recorder tail.
 pub(crate) fn attach_recorder_artifacts(report: &mut RuntimeReport, registry: &Arc<Registry>) {
@@ -146,13 +126,12 @@ pub(crate) fn attach_recorder_artifacts(report: &mut RuntimeReport, registry: &A
     }
 }
 
+/// A conformance verdict: the first violation (primitive, place,
+/// index) and whether the service could terminate where the trace ends.
+type Replay = (Option<(String, PlaceId, usize)>, bool);
+
 /// Replay a completed session's primitive trace against the service.
-/// Returns the first violation (primitive, place, index) and whether the
-/// service could terminate where the trace ends.
-pub(crate) fn replay_conformance(
-    service: &Spec,
-    trace: &[(String, PlaceId)],
-) -> (Option<(String, PlaceId, usize)>, bool) {
+fn replay_conformance(service: &Spec, trace: &[(String, PlaceId)]) -> Replay {
     let mut mon = ServiceMonitor::new(service.clone());
     for (i, (name, place)) in trace.iter().enumerate() {
         if !mon.step(name, *place) {
@@ -206,8 +185,24 @@ impl Tally {
 /// Memoized conformance replays, keyed by the full primitive trace.
 /// Load runs drive many sessions down identical traces; replaying the
 /// service monitor once per *distinct* trace instead of once per session
-/// takes conformance checking off the multiplexer's critical path.
-type ReplayCache = FxHashMap<Vec<(String, PlaceId)>, (Option<(String, PlaceId, usize)>, bool)>;
+/// takes conformance checking off the critical path of both engines —
+/// the local multiplexer and the distributed hub. Keying on the whole
+/// trace makes every verdict identical to a fresh replay.
+#[derive(Default)]
+pub(crate) struct ReplayCache(FxHashMap<Vec<(String, PlaceId)>, Replay>);
+
+impl ReplayCache {
+    /// The verdict for `trace`, replaying the service monitor only on
+    /// the first sight of this exact trace.
+    pub(crate) fn replay(&mut self, service: &Spec, trace: &[(String, PlaceId)]) -> Replay {
+        if let Some(hit) = self.0.get(trace) {
+            return hit.clone();
+        }
+        let v = replay_conformance(service, trace);
+        self.0.insert(trace.to_vec(), v.clone());
+        v
+    }
+}
 
 fn run_concurrent(
     d: &Derivation,
@@ -425,14 +420,7 @@ fn finalize_session(
         *tally.per_kind.entry(*k).or_default() += c;
     }
 
-    let (mut violation, may_terminate) = match replay_cache.get(core.trace.as_slice()) {
-        Some(hit) => hit.clone(),
-        None => {
-            let v = replay_conformance(&d.service, &core.trace);
-            replay_cache.insert(core.trace.clone(), v.clone());
-            v
-        }
-    };
+    let (mut violation, may_terminate) = replay_cache.replay(&d.service, &core.trace);
     let conforms = violation.is_none() && end == SessionEnd::Terminated && may_terminate;
     // A deadlock against a refused offer is a conformance failure the
     // monitor cannot see (the primitive never executed): surface the

@@ -61,8 +61,6 @@ pub use config::{BackendChoice, FaultProfile, RuntimeConfig};
 pub use distributed::{
     run_hub, run_hub_obs, run_hub_on, serve_entity, DistributedConfig, ServeConfig, ServeOutcome,
 };
-#[allow(deprecated)]
-pub use exec::run_obs;
 pub use exec::{run, trace_id_for, try_run};
 pub use faults::FaultLink;
 pub use metrics::{

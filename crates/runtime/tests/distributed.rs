@@ -231,6 +231,21 @@ fn matrix(which: &str, uds: bool) {
                 "{name} {transport} {which} seed={seed}: failed; events: {:?}",
                 report.transport_events
             );
+            // Every primitive is one entity move, every message one send
+            // and one receive move; internal moves only add to that.
+            for r in &report.reports {
+                if r.end == runtime::SessionEnd::Terminated {
+                    assert!(
+                        r.steps >= r.primitives + 2 * r.messages,
+                        "{name} {transport} {which} seed={seed} session {}: steps {} < \
+                         primitives {} + 2 x messages {}",
+                        r.id,
+                        r.steps,
+                        r.primitives,
+                        r.messages
+                    );
+                }
+            }
             kills_total += kills;
             reconnects_total += report
                 .per_link
@@ -380,4 +395,65 @@ fn dead_entity_aborts_sessions_with_diagnostics() {
         dead.is_err(),
         "the cut-off entity should report a dead link"
     );
+}
+
+/// The distributed twin of conformance.rs's
+/// `violations_carry_session_id_and_trace`: a sabotaged entity drives
+/// every session down the same violating trace, so the hub's memoized
+/// replay answers all but the first from its cache — and each session
+/// must still get its own violation record.
+#[test]
+fn violations_carry_session_id_and_trace() {
+    let watchdog = Watchdog::arm(
+        "violations_carry_session_id_and_trace",
+        Duration::from_secs(120),
+    );
+    watchdog.enter("sabotaged place 1".to_string());
+    let derived = Pipeline::load("SPEC a1; b2; c1; exit ENDSPEC")
+        .unwrap()
+        .check()
+        .unwrap()
+        .derive()
+        .unwrap();
+    let mut d = derived.into_derivation();
+    // Sabotage: place 1 announces `c` where the service expects `a` first.
+    let (_, spec1) = &mut d.entities[0];
+    *spec1 = lotos::parser::parse_spec("SPEC c1; exit ENDSPEC").unwrap();
+    let dcfg = DistributedConfig {
+        heartbeat: Duration::from_millis(20),
+        ..DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()))
+    };
+    let listener = dcfg.listen.listen().unwrap();
+    let hub_addr = listener.local_addr().unwrap();
+    const SESSIONS: usize = 4;
+    let cfg = RuntimeConfig::new().sessions(SESSIONS).threads(2).seed(5);
+    let handles: Vec<_> = d
+        .entities
+        .iter()
+        .map(|(p, spec)| {
+            let mut scfg = ServeConfig::new(hub_addr.clone(), *p);
+            scfg.heartbeat = Duration::from_millis(20);
+            let spec = spec.clone();
+            std::thread::spawn(move || serve_entity(&spec, &scfg))
+        })
+        .collect();
+    let report = run_hub_on(&d, &cfg, &dcfg, listener).expect("hub run");
+    for h in handles {
+        h.join().expect("entity thread").expect("entity outcome");
+    }
+    assert!(!report.passed());
+    assert_eq!(report.sessions, SESSIONS);
+    let mut sessions: Vec<u64> = report.violations.iter().map(|v| v.session).collect();
+    sessions.sort_unstable();
+    assert_eq!(
+        sessions,
+        (0..SESSIONS as u64).collect::<Vec<_>>(),
+        "one violation record per session: {:?}",
+        report.violations
+    );
+    for v in &report.violations {
+        assert_eq!(v.primitive, "c");
+        assert_eq!(v.place, 1);
+        assert_eq!(v.trace[v.at], ("c".to_string(), 1));
+    }
 }

@@ -4,6 +4,7 @@
 use std::fmt;
 use std::io;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -126,6 +127,15 @@ impl Listener {
             },
         };
         Ok(conn)
+    }
+}
+
+impl AsRawFd for Listener {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Tcp(l) => l.as_raw_fd(),
+            Listener::Uds(l, _) => l.as_raw_fd(),
+        }
     }
 }
 

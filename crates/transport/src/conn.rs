@@ -1,8 +1,11 @@
 //! A connected stream socket of either family, with the timeout plumbing
-//! the link supervisor relies on.
+//! the link supervisor relies on, and [`Readiness`] — the one readiness
+//! wait the hub and entity loops park in.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::os::raw::{c_int, c_short, c_ulong};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
@@ -117,6 +120,101 @@ impl Conn {
     }
 }
 
+impl AsRawFd for Conn {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Conn::Tcp(s) => s.as_raw_fd(),
+            Conn::Uds(s) => s.as_raw_fd(),
+        }
+    }
+}
+
+/// `struct pollfd` of poll(2).
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x001;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
+const POLLNVAL: c_short = 0x020;
+
+extern "C" {
+    // `nfds_t` is `unsigned long` on Linux.
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout_ms: c_int) -> c_int;
+}
+
+/// The sockets one event loop parks on: a reusable poll(2) set. Fill it
+/// with [`push`](Self::push) (slot `i` is the `i`-th push since the last
+/// [`clear`](Self::clear)), block in [`wait_readable`](Self::wait_readable),
+/// then ask [`ready`](Self::ready) per slot. The set keeps its buffer, so
+/// a loop that refills it every sweep does not allocate.
+#[derive(Default)]
+pub struct Readiness {
+    fds: Vec<PollFd>,
+}
+
+impl Readiness {
+    /// Empty the set, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.fds.clear();
+    }
+
+    /// Add a slot. A `None` slot (say, a link with no connection) is
+    /// never ready.
+    pub fn push(&mut self, fd: Option<RawFd>) {
+        self.fds.push(PollFd {
+            // poll(2) skips negative descriptors.
+            fd: fd.unwrap_or(-1),
+            events: POLLIN,
+            revents: 0,
+        });
+    }
+
+    /// Block until at least one slot is readable or `timeout` elapses
+    /// (a zero timeout only samples; others round up to whole
+    /// milliseconds, so the wait never ends early). Readable means
+    /// pending data, a pending accept on a listener, EOF, or an error a
+    /// read will report. A signal interruption reads as "nothing ready".
+    pub fn wait_readable(&mut self, timeout: Duration) -> io::Result<()> {
+        for p in &mut self.fds {
+            p.revents = 0;
+        }
+        let ms = timeout
+            .as_nanos()
+            .div_ceil(1_000_000)
+            .min(c_int::MAX as u128) as c_int;
+        // SAFETY: `self.fds` is a live, exclusively borrowed array of
+        // exactly `len()` `#[repr(C)]` pollfd records; poll writes only
+        // the `revents` fields inside it.
+        let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as c_ulong, ms) };
+        if n < 0 {
+            let e = io::Error::last_os_error();
+            if e.kind() != io::ErrorKind::Interrupted {
+                return Err(e);
+            }
+            for p in &mut self.fds {
+                p.revents = 0;
+            }
+        }
+        Ok(())
+    }
+
+    /// Did the last wait find slot `i` readable?
+    pub fn ready(&self, i: usize) -> bool {
+        self.fds[i].revents & (POLLIN | POLLERR | POLLHUP | POLLNVAL) != 0
+    }
+
+    /// Forget slot `i`'s readiness: its socket was replaced after the
+    /// wait, so the result described a descriptor that is gone.
+    pub fn forget(&mut self, i: usize) {
+        self.fds[i].revents = 0;
+    }
+}
+
 /// Is this error just "the poll window elapsed with no data"?
 pub fn is_poll_timeout(e: &io::Error) -> bool {
     matches!(
@@ -129,6 +227,113 @@ pub fn is_poll_timeout(e: &io::Error) -> bool {
 mod tests {
     use super::*;
     use crate::addr::Addr;
+    use std::time::Instant;
+
+    /// A connected (client, server) pair of each socket family.
+    fn pairs(tag: &str) -> Vec<(&'static str, Conn, Conn)> {
+        let mut out = Vec::new();
+        let tcp = Addr::parse("tcp:127.0.0.1:0").unwrap().listen().unwrap();
+        let client = tcp
+            .local_addr()
+            .unwrap()
+            .connect(Duration::from_secs(1))
+            .unwrap();
+        out.push(("tcp", client, tcp.accept().unwrap().unwrap()));
+        let path = std::env::temp_dir().join(format!("pg-wait-{tag}-{}.sock", std::process::id()));
+        let uds = Addr::Uds(path).listen().unwrap();
+        let client = uds
+            .local_addr()
+            .unwrap()
+            .connect(Duration::from_secs(1))
+            .unwrap();
+        out.push(("uds", client, uds.accept().unwrap().unwrap()));
+        out
+    }
+
+    /// Wait once over `fds`; the per-slot readiness.
+    fn wait(fds: &[Option<RawFd>], timeout: Duration) -> Vec<bool> {
+        let mut set = Readiness::default();
+        for &fd in fds {
+            set.push(fd);
+        }
+        set.wait_readable(timeout).unwrap();
+        (0..fds.len()).map(|i| set.ready(i)).collect()
+    }
+
+    #[test]
+    fn wait_readable_sees_pending_data() {
+        for (family, mut client, server) in pairs("data") {
+            client.write_all(b"x").unwrap();
+            let mut set = Readiness::default();
+            set.push(Some(server.as_raw_fd()));
+            set.wait_readable(Duration::from_secs(5)).unwrap();
+            assert!(set.ready(0), "{family}");
+            set.forget(0);
+            assert!(!set.ready(0), "{family}: forget");
+            // A refilled set reuses its buffer and sees the data again.
+            set.clear();
+            set.push(Some(server.as_raw_fd()));
+            set.wait_readable(Duration::from_secs(5)).unwrap();
+            assert!(set.ready(0), "{family}: refilled");
+        }
+    }
+
+    #[test]
+    fn wait_readable_idle_waits_out_its_timeout() {
+        for (family, _client, server) in pairs("idle") {
+            let t = Instant::now();
+            let ready = wait(&[Some(server.as_raw_fd())], Duration::from_millis(30));
+            assert!(t.elapsed() >= Duration::from_millis(30), "{family}");
+            assert_eq!(ready, vec![false], "{family}");
+        }
+    }
+
+    #[test]
+    fn wait_readable_reports_peer_shutdown_as_eof() {
+        for (family, client, mut server) in pairs("eof") {
+            client.shutdown();
+            let ready = wait(&[Some(server.as_raw_fd())], Duration::from_secs(5));
+            assert_eq!(ready, vec![true], "{family}");
+            let mut dec = medium::codec::FrameDecoder::new();
+            let err = crate::wire::poll_messages_into(&mut server, &mut dec, &mut Vec::new())
+                .unwrap_err();
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::UnexpectedEof,
+                "{family}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn wait_readable_never_readies_a_none_slot() {
+        for (family, mut client, server) in pairs("none") {
+            client.write_all(b"x").unwrap();
+            let ready = wait(
+                &[None, Some(server.as_raw_fd()), None],
+                Duration::from_secs(5),
+            );
+            assert_eq!(ready, vec![false, true, false], "{family}");
+            // Only `None` slots: nothing can wake the wait early.
+            let t = Instant::now();
+            assert_eq!(wait(&[None], Duration::from_millis(5)), vec![false]);
+            assert!(t.elapsed() >= Duration::from_millis(5), "{family}");
+        }
+    }
+
+    #[test]
+    fn wait_readable_zero_timeout_returns_at_once() {
+        for (family, _client, server) in pairs("zero") {
+            let t = Instant::now();
+            let ready = wait(&[Some(server.as_raw_fd())], Duration::ZERO);
+            assert_eq!(ready, vec![false], "{family}");
+            assert!(
+                t.elapsed() < Duration::from_secs(1),
+                "{family}: {:?}",
+                t.elapsed()
+            );
+        }
+    }
 
     #[test]
     fn read_timeout_polls_without_data() {

@@ -7,6 +7,9 @@
 //! and keeps the reliable-FIFO contract honest when the network is not:
 //!
 //! * [`addr`] — TCP and Unix-domain endpoints behind one [`Addr`] type;
+//! * [`conn`] — the connected socket, and [`Readiness`]: one poll(2)
+//!   readiness wait over many sockets, which the hub and entity event
+//!   loops park in;
 //! * [`wire`] — the hub ↔ entity message vocabulary ([`WireMsg`]) over
 //!   the checksummed frames of `medium::codec`;
 //! * [`link`] — sequence-numbered send/receive with cumulative acks,
@@ -34,7 +37,7 @@ pub mod proxy;
 pub mod wire;
 
 pub use addr::{Addr, Listener};
-pub use conn::{is_poll_timeout, Conn};
+pub use conn::{is_poll_timeout, Conn, Readiness};
 pub use link::{Backoff, BatchConfig, Channel, Link, LinkStats};
 pub use pool::BufPool;
 pub use proxy::{FaultProxy, LinkFaults};
