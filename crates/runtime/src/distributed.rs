@@ -18,8 +18,8 @@
 //! §3.5 occurrence numbers are demand-assigned per process, so two
 //! processes' tables disagree on raw numbers. The wire carries the
 //! canonical **site-tag path** of each occurrence instead
-//! ([`OccTable::path_of`]); the receiving entity resolves the path in
-//! its own table ([`OccTable::resolve_path`]). Paths are derived from
+//! (`OccTable::path_of`); the receiving entity resolves the path in
+//! its own table (`OccTable::resolve_path`). Paths are derived from
 //! the shared service specification, so they are identical in every
 //! process.
 //!
@@ -35,11 +35,22 @@
 //! `Terminated`, a hit step budget commits `StepLimit`, anything else
 //! is a true `Deadlock`.
 //!
+//! ## Structure
+//!
+//! Both sides are a state machine inside a thin socket loop. The hub's
+//! protocol logic — the session window, stage marks, the quiescence
+//! decision, conformance verdicts — is `hub::HubCore`: frames in, frames
+//! out through an `Outbox`, no sockets. [`run_hub_obs`] owns the I/O:
+//! the readiness wait, accepting and handshaking connections,
+//! heartbeats, the flush phase and the shutdown drain. Likewise an
+//! entity's sessions live in `entity::EntityProc`, and [`serve_entity`]
+//! only connects, waits, flushes and lingers.
+//!
 //! ## Supervision
 //!
 //! The hub heartbeats every link and tracks silence. A dead connection
 //! opens a reconnect window; an entity that misses it is declared dead:
-//! every in-flight session is completed as [`SessionEnd::Aborted`] with
+//! every in-flight session is completed as `SessionEnd::Aborted` with
 //! a diagnostic `transport_events` entry, survivors get `Close` +
 //! `Shutdown`, and the run returns (never hangs) — the CLI maps
 //! aborted sessions to its distinct transport exit code. Entity-side,
@@ -47,36 +58,29 @@
 //! budget ([`transport::Backoff`]); an exhausted budget fails the
 //! `serve` process the same way.
 
-use crate::compiled::{lower_for, make_backend, BState, Backend, EntityBackend, OfferView};
+use crate::compiled::lower_for;
 use crate::config::{BackendChoice, RuntimeConfig};
-use crate::entity::pack_msg_event;
-use crate::exec::{backend_desc, trace_id_for, ReplayCache, Tally};
-use crate::metrics::{
-    GaugeSnapshot, LinkReport, Metrics, RuntimeReport, SessionReport, StageBreakdown, StallRecord,
-    ViolationRecord,
-};
-use crate::session::SessionEnd;
-use crate::stall::{StallTracker, MAX_STALLS};
+use crate::exec::{backend_desc, trace_id_for};
+use crate::metrics::{LinkReport, Metrics, RuntimeReport};
+use entity::EntityProc;
+use hub::{HubCore, Outbox};
 use lotos::ast::Spec;
 use lotos::place::PlaceId;
-use medium::Msg;
 use obs::{EventKind, Recorder, Registry};
 use protogen::derive::Derivation;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use semantics::engine::TermArena;
 use semantics::hash::fx_hash;
-use semantics::term::{Label, OccTable};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use transport::{
     poll_messages, poll_messages_into, Addr, Backoff, BatchConfig, Channel, Link, Readiness,
     WireMsg,
 };
+
+mod entity;
+mod hub;
 
 /// Timing and address knobs of the distributed runtime. The defaults
 /// suit loopback; tests shrink them, WAN deployments stretch them.
@@ -176,241 +180,79 @@ impl DistributedConfig {
     }
 }
 
-fn end_to_byte(e: SessionEnd) -> u8 {
-    match e {
-        SessionEnd::Terminated => 0,
-        SessionEnd::Deadlock => 1,
-        SessionEnd::StepLimit => 2,
-        SessionEnd::Aborted => 3,
-    }
-}
-
-/// Decode a [`WireMsg::Close`] outcome byte (unknown bytes read as
-/// `Aborted` — the conservative outcome).
-pub fn end_from_byte(b: u8) -> SessionEnd {
-    match b {
-        0 => SessionEnd::Terminated,
-        1 => SessionEnd::Deadlock,
-        2 => SessionEnd::StepLimit,
-        _ => SessionEnd::Aborted,
-    }
-}
-
-// ======================================================================
-// Hub
-// ======================================================================
-
-/// Latest scheduling status an entity reported for one session.
-#[derive(Clone, Copy, Debug)]
-struct StatusRec {
-    seen: u64,
-    vote: bool,
-    inbox_empty: bool,
-    steps: u64,
-}
-
-/// What the hub just observed for a session — drives which stage the
-/// interval since the previous observation is attributed to.
-#[derive(Clone, Copy)]
-enum Mark {
-    /// Work arrived (a `Prim` or a `Data` frame): the entities were
-    /// stepping.
-    Step,
-    /// A scheduling report arrived (`Status`) or the session closed:
-    /// the entities were parked or parking.
-    Notify,
-}
-
-struct HubSession {
-    id: u64,
-    seed: u64,
-    trace: Vec<(String, PlaceId)>,
-    /// Data frames forwarded to each entity (by dense index).
-    forwarded: Vec<u64>,
-    /// Data frames each entity has *reported seeing* (its latest
-    /// `Status.seen`) — `Σforwarded − Σacked` is the hub's estimate of
-    /// frames still on the wire.
-    acked: Vec<u64>,
-    status: Vec<Option<StatusRec>>,
-    messages: usize,
-    started: Instant,
-    last_prim: Option<Instant>,
-    /// Stage attribution: the hub cannot see inside the entity
-    /// processes, so it classifies each interval between consecutive
-    /// observations by what the observation implies (see [`Mark`]).
-    last_mark: Instant,
-    observed: bool,
-    queue_ns: u64,
-    step_ns: u64,
-    wire_ns: u64,
-    notify_ns: u64,
-    /// Hub-side Lamport clock for the session: merged with every wire
-    /// clock that arrives, so the hub's recorded observations order
-    /// consistently with the entities' own events.
-    lc: u64,
-}
-
-impl HubSession {
-    fn new(id: u64, seed: u64, n: usize) -> HubSession {
-        let now = Instant::now();
-        HubSession {
-            id,
-            seed,
-            trace: Vec::new(),
-            forwarded: vec![0; n],
-            acked: vec![0; n],
-            status: vec![None; n],
-            messages: 0,
-            started: now,
-            last_prim: None,
-            last_mark: now,
-            observed: false,
-            queue_ns: 0,
-            step_ns: 0,
-            wire_ns: 0,
-            notify_ns: 0,
-            lc: 0,
-        }
-    }
-
-    /// Attribute the interval since the previous observation: before
-    /// anything is observed the session is queued (Opens still in
-    /// flight, entities not yet stepping it); while forwarded data is
-    /// unaccounted for the wire owns the interval; otherwise the kind
-    /// of the observation decides (stepping vs parked).
-    fn mark(&mut self, now: Instant, kind: Mark) {
-        let dt = now.saturating_duration_since(self.last_mark).as_nanos() as u64;
-        self.last_mark = now;
-        let in_flight = self
-            .forwarded
-            .iter()
-            .sum::<u64>()
-            .saturating_sub(self.acked.iter().sum::<u64>());
-        if !self.observed {
-            self.observed = true;
-            self.queue_ns += dt;
-        } else if in_flight > 0 {
-            self.wire_ns += dt;
-        } else {
-            match kind {
-                Mark::Step => self.step_ns += dt,
-                Mark::Notify => self.notify_ns += dt,
-            }
-        }
-    }
-
-    /// The committed outcome once every entity has a *current* parked
-    /// status, or `None` while something can still move.
-    fn decide(&self, max_steps: u64) -> Option<SessionEnd> {
-        let mut all_vote = true;
-        let mut all_empty = true;
-        let mut step_limited = false;
-        for (i, st) in self.status.iter().enumerate() {
-            let Some(st) = st else { return None };
-            if st.seen != self.forwarded[i] {
-                return None; // stale: data still in flight to this entity
-            }
-            all_vote &= st.vote;
-            all_empty &= st.inbox_empty;
-            step_limited |= st.steps >= max_steps;
-        }
-        Some(if step_limited {
-            SessionEnd::StepLimit
-        } else if all_vote && all_empty {
-            SessionEnd::Terminated
-        } else {
-            SessionEnd::Deadlock
-        })
-    }
-}
-
-/// Hub-side state of one entity link.
-struct EntityLink {
-    place: PlaceId,
-    chan: Option<Channel>,
+/// One end of a hub↔entity link: the resumable [`Link`] and, while
+/// connected, its socket.
+struct Peer {
     link: Link,
+    chan: Option<Channel>,
     last_heard: Instant,
-    /// When the current disconnection started (run start for
-    /// never-connected links).
-    disconnected_at: Option<Instant>,
-    ever_connected: bool,
     last_heartbeat: Instant,
 }
 
-impl EntityLink {
-    fn new(place: PlaceId, now: Instant, bcfg: BatchConfig) -> EntityLink {
-        EntityLink {
-            place,
-            chan: None,
+impl Peer {
+    fn new(bcfg: BatchConfig) -> Peer {
+        let now = Instant::now();
+        Peer {
             link: Link::with_batch(bcfg),
+            chan: None,
             last_heard: now,
-            disconnected_at: Some(now),
-            ever_connected: false,
             last_heartbeat: now,
         }
     }
 
-    /// Queue a sequenced message into the link's batch (buffered for
-    /// resumption either way), or hold it for the next reconnect. The
-    /// batch goes out at the sweep's flush point — or here, once it has
-    /// grown past the configured frame budget.
-    fn push(&mut self, msg: WireMsg, events: &mut Vec<String>) {
-        match self.chan.as_mut() {
-            Some(ch) => {
-                self.link.queue(msg);
-                if self.link.wants_flush() && self.link.flush(&mut ch.conn).is_err() {
-                    // The message is in the resume buffer; only the
-                    // connection is lost.
-                    self.drop_conn(events, "send failed");
-                }
-            }
-            None => {
+    /// Queue a frame into the link's batch, which goes out at the
+    /// sweep's flush point — or here, once it has grown past the frame
+    /// budget. While disconnected, a sequenced frame waits in the resend
+    /// buffer for the next reconnect and control traffic is dropped.
+    /// Returns `false` when that early flush found the connection dead
+    /// (a sequenced frame is in the resend buffer either way).
+    fn send(&mut self, msg: WireMsg) -> bool {
+        let Some(ch) = self.chan.as_mut() else {
+            if msg.sequenced() {
                 self.link.buffer(msg);
             }
+            return true;
+        };
+        self.link.queue(msg);
+        !self.link.wants_flush() || self.link.flush(&mut ch.conn).is_ok()
+    }
+
+    /// Queue a heartbeat if one is due.
+    fn heartbeat(&mut self, now: Instant, every: Duration) {
+        if self.chan.is_some() && now.duration_since(self.last_heartbeat) >= every {
+            self.last_heartbeat = now;
+            let nonce = self.link.stats.frames_sent;
+            self.link.queue(WireMsg::Heartbeat { nonce });
         }
     }
 
-    /// Queue unsequenced control traffic (dropped if disconnected).
-    fn push_control(&mut self, msg: WireMsg, _events: &mut Vec<String>) {
-        if self.chan.is_some() {
-            self.link.queue(msg);
-        }
-    }
-
-    /// Sweep flush: push a pure ack if one is due, then write the
-    /// queued batch with one vectored call. Returns whether any frames
-    /// went out.
-    fn flush(&mut self, events: &mut Vec<String>) -> bool {
+    /// Push an ack if one is due (any owed ack with `force_ack`), then
+    /// write the queued batch with one vectored call. Returns whether
+    /// any frames were queued.
+    fn flush(&mut self, force_ack: bool) -> io::Result<bool> {
         let Some(ch) = self.chan.as_mut() else {
+            return Ok(false);
+        };
+        let queued = self.link.queued_frames() > 0;
+        self.link.maybe_ack(&mut ch.conn, force_ack)?;
+        self.link.flush(&mut ch.conn)?;
+        Ok(queued)
+    }
+
+    /// Tear the connection down, counting a fault if asked; returns
+    /// whether there was one. A half-encoded batch is dead with the
+    /// socket: its sequenced frames are retransmitted from the resend
+    /// ring on resume.
+    fn close(&mut self, fault: bool) -> bool {
+        let Some(ch) = self.chan.take() else {
             return false;
         };
-        let had_queued = self.link.queued_frames() > 0;
-        let ok = self.link.maybe_ack(&mut ch.conn, false).is_ok()
-            && self.link.flush(&mut ch.conn).is_ok();
-        if !ok {
-            self.drop_conn(events, "flush failed");
-        }
-        had_queued
-    }
-
-    fn drop_conn(&mut self, events: &mut Vec<String>, why: &str) {
-        if let Some(ch) = self.chan.take() {
-            ch.conn.shutdown();
-            // A half-encoded batch is dead with the socket; its
-            // sequenced frames are retransmitted from the ring on
-            // resume.
-            self.link.discard_batch();
+        ch.conn.shutdown();
+        self.link.discard_batch();
+        if fault {
             self.link.note_fault();
-            self.disconnected_at = Some(Instant::now());
-            events.push(format!(
-                "link place:{}: connection lost ({why})",
-                self.place
-            ));
         }
-    }
-
-    fn report(&self) -> LinkReport {
-        report_of(&self.link)
+        true
     }
 
     /// The connected socket's descriptor, for the readiness wait.
@@ -419,42 +261,51 @@ impl EntityLink {
     }
 }
 
-/// Mirror the links' cumulative batching stats into the live metrics
-/// atomics the `/metrics` endpoint serves. Stats only grow, so a plain
-/// store of the sums is race-free against the scraping thread.
-fn publish_batch_counters(links: &[EntityLink], metrics: &Metrics) {
-    let (mut batches, mut bytes, mut piggy) = (0usize, 0usize, 0usize);
-    for link in links {
-        let s = &link.link.stats;
-        batches += s.batches_sent as usize;
-        bytes += s.bytes_sent as usize;
-        piggy += s.piggybacked_acks as usize;
-    }
-    metrics.batches_sent.store(batches, Ordering::Relaxed);
-    metrics.bytes_sent.store(bytes, Ordering::Relaxed);
-    metrics.piggybacked_acks.store(piggy, Ordering::Relaxed);
+// ======================================================================
+// Hub
+// ======================================================================
+
+/// Hub-side state of one entity link.
+struct EntityLink {
+    place: PlaceId,
+    peer: Peer,
+    /// When the current disconnection started (run start for
+    /// never-connected links).
+    disconnected_at: Option<Instant>,
+    ever_connected: bool,
 }
 
-/// Refresh the queue/backlog gauges: aggregate outbound backlog (queued
-/// plus unacked frames) across links, encode-pool utilization, and the
-/// session-window occupancy.
-fn publish_gauges(links: &[EntityLink], open_sessions: usize, metrics: &Metrics) {
-    let mut backlog = 0usize;
-    let (mut free, mut total) = (0usize, 0usize);
-    for l in links {
-        backlog += l.link.queued_frames() as usize + l.link.unacked_len();
-        let (f, t) = l.link.pool_available();
-        free += f;
-        total += t;
+impl EntityLink {
+    /// The sweep flush. Returns whether any frames went out.
+    fn flush(&mut self, events: &mut Vec<String>) -> bool {
+        self.peer.flush(false).unwrap_or_else(|_| {
+            self.drop_conn(events, "flush failed");
+            false
+        })
     }
-    metrics
-        .link_backlog_frames
-        .store(backlog, Ordering::Relaxed);
-    metrics.pool_bufs_free.store(free, Ordering::Relaxed);
-    metrics.pool_bufs_total.store(total, Ordering::Relaxed);
-    metrics
-        .window_occupancy
-        .store(open_sessions, Ordering::Relaxed);
+
+    fn drop_conn(&mut self, events: &mut Vec<String>, why: &str) {
+        if self.peer.close(true) {
+            self.disconnected_at = Some(Instant::now());
+            events.push(format!(
+                "link place:{}: connection lost ({why})",
+                self.place
+            ));
+        }
+    }
+}
+
+/// The hub's links, by entity index: a frame for an entity queues
+/// straight into its link's batch.
+impl Outbox for [EntityLink] {
+    fn send(&mut self, idx: usize, msg: WireMsg, events: &mut Vec<String>) {
+        let link = &mut self[idx];
+        if !link.peer.send(msg) {
+            // The message is in the resume buffer; only the connection
+            // is lost.
+            link.drop_conn(events, "send failed");
+        }
+    }
 }
 
 /// Project a transport link's counters into the report schema.
@@ -529,807 +380,494 @@ pub fn run_hub_obs(
     let lowered = lower_for(&d.entities, cfg.backend)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     listener.set_nonblocking(true)?;
-
-    let places: Vec<PlaceId> = d.entities.iter().map(|(p, _)| *p).collect();
-    let n = places.len();
-    let place_index: BTreeMap<PlaceId, usize> =
-        places.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-    let now = Instant::now();
-    let bcfg = dcfg.batch_config();
-    let mut links: Vec<EntityLink> = places
-        .iter()
-        .map(|&p| EntityLink::new(p, now, bcfg))
-        .collect();
-
     let metrics = Arc::new(Metrics::for_service(&d.service));
-    // The hub's recorder observes at place 0; entity processes record at
-    // their own places and ship chunks back at shutdown.
-    let rec = registry.as_ref().map(|r| r.recorder(0));
-    let trace_id = registry.as_ref().map(|r| r.trace_id).unwrap_or(0);
     let server = match &dcfg.metrics {
-        Some(addr) => {
-            let m = Arc::clone(&metrics);
-            let mut routes: Vec<(String, obs::Handler)> = vec![(
-                "/metrics".to_string(),
-                Arc::new(move || ("text/plain; version=0.0.4".to_string(), m.to_prometheus()))
-                    as obs::Handler,
-            )];
-            let mh = Arc::clone(&metrics);
-            routes.push((
-                "/health".to_string(),
-                Arc::new(move || {
-                    (
-                        "application/json".to_string(),
-                        mh.health_json(started.elapsed().as_secs_f64()),
-                    )
-                }),
-            ));
-            if let Some(reg) = &registry {
-                let reg = Arc::clone(reg);
-                routes.push((
-                    "/trace".to_string(),
-                    Arc::new(move || {
-                        (
-                            "application/json".to_string(),
-                            reg.snapshot().to_chrome_json(),
-                        )
-                    }),
-                ));
-            }
-            Some(obs::MetricsServer::spawn(addr, routes)?)
-        }
+        Some(addr) => Some(obs::MetricsServer::spawn(
+            addr,
+            metrics_routes(&metrics, registry.as_ref(), started),
+        )?),
         None => None,
     };
-    let mut tally = Tally::new();
-    let mut events: Vec<String> = Vec::new();
-    let mut sessions: BTreeMap<u64, HubSession> = BTreeMap::new();
+    let places: Vec<PlaceId> = d.entities.iter().map(|(p, _)| *p).collect();
     let window = dcfg.window(cfg.threads.max(1));
-    metrics.window_size.store(window, Ordering::Relaxed);
-    let mut stall_flagged: BTreeSet<u64> = BTreeSet::new();
-    let mut stall_records: Vec<StallRecord> = Vec::new();
-    let mut last_stall_check = Instant::now();
-    let mut last_backlog_refresh = Instant::now();
-    let mut next = 0usize;
-    let mut messages = 0usize;
-    let mut last_progress = Instant::now();
-    let mut dead_entity: Option<PlaceId> = None;
-    let mut replay_cache = ReplayCache::default();
-    let mut inbuf: Vec<(u64, WireMsg)> = Vec::new();
-    // Readiness set: slot 0 is the listener, slot `1 + idx` is link
-    // `idx` (`None` while it has no connection).
-    let mut wait = Readiness::default();
-    // Did the previous sweep move anything? Then the next wait only
-    // samples readiness; otherwise it parks until a socket wakes it or
-    // `dcfg.poll` elapses (timers: heartbeats, idle acks, deadlines).
-    let mut progress = true;
-
-    'run: loop {
-        if next >= cfg.sessions && sessions.is_empty() {
-            break;
-        }
-        wait.clear();
-        wait.push(Some(listener.as_raw_fd()));
-        for link in &links {
-            wait.push(link.raw_fd());
-        }
-        wait.wait_readable(if progress { Duration::ZERO } else { dcfg.poll })?;
-        progress = false;
-
-        // Keep the window full.
-        while next < cfg.sessions && sessions.len() < window {
-            let id = next as u64;
-            let seed = cfg.session_seed(next);
-            if let Some(rec) = &rec {
-                rec.record(EventKind::SessionOpen, id, 0, seed, 0);
-            }
-            sessions.insert(id, HubSession::new(id, seed, n));
-            for link in links.iter_mut() {
-                link.push(
-                    WireMsg::Open {
-                        session: id,
-                        seed,
-                        max_steps: cfg.max_steps as u64,
-                        trace: trace_id,
-                    },
-                    &mut events,
-                );
-            }
-            next += 1;
-            progress = true;
-        }
-
-        // Accept (re)connections.
-        while wait.ready(0) {
-            let Ok(Some(conn)) = listener.accept() else {
-                break;
-            };
-            match hub_handshake(conn, dcfg) {
-                Ok((place, last_seen, mut chan, leftovers)) => {
-                    let Some(&idx) = place_index.get(&place) else {
-                        events.push(format!("rejected connection for unknown place {place}"));
-                        continue;
-                    };
-                    let link = &mut links[idx];
-                    if let Some(old) = link.chan.take() {
-                        old.conn.shutdown();
-                    }
-                    let welcome = WireMsg::Welcome {
-                        last_seen: link.link.last_delivered(),
-                    };
-                    let resent_before = link.link.stats.frames_resent;
-                    let hello_ok = chan.conn.write_all(&welcome.encode(0)).is_ok()
-                        && link.link.resume(&mut chan.conn, last_seen).is_ok();
-                    if !hello_ok {
-                        chan.conn.shutdown();
-                        continue;
-                    }
-                    // This sweep's readiness described the old socket.
-                    wait.forget(1 + idx);
-                    let was_connected = link.ever_connected;
-                    link.chan = Some(chan);
-                    link.ever_connected = true;
-                    link.disconnected_at = None;
-                    link.last_heard = Instant::now();
-                    if was_connected {
-                        events.push(format!("link place:{place}: reconnected and resumed"));
-                    }
-                    if let Some(rec) = &rec {
-                        if was_connected {
-                            rec.record_global(
-                                EventKind::LinkReconnect,
-                                place as u64,
-                                link.link.stats.reconnects.saturating_sub(1),
-                            );
-                        } else {
-                            rec.record_global(EventKind::LinkConnect, place as u64, 0);
-                        }
-                        let resent = link.link.stats.frames_resent - resent_before;
-                        if resent > 0 {
-                            rec.record_global(EventKind::LinkRetransmit, place as u64, resent);
-                        }
-                    }
-                    last_progress = Instant::now();
-                    progress = true;
-                    let mut closed = Vec::new();
-                    for (seq, m) in leftovers {
-                        if let Some(m) = links[idx].link.accept(seq, m) {
-                            hub_handle(
-                                m,
-                                idx,
-                                &mut links,
-                                &mut sessions,
-                                metrics.as_ref(),
-                                &mut messages,
-                                &mut events,
-                                &mut closed,
-                                cfg,
-                                rec.as_ref(),
-                                registry.as_ref(),
-                            );
-                        }
-                    }
-                    finish_closed(
-                        d,
-                        cfg,
-                        closed,
-                        &mut sessions,
-                        &mut links,
-                        &mut events,
-                        metrics.as_ref(),
-                        &mut tally,
-                        &mut replay_cache,
-                        rec.as_ref(),
-                    );
-                }
-                Err(e) => events.push(format!("handshake failed: {e}")),
-            }
-        }
-
-        // Read every link the wait found readable and process its
-        // traffic. Replies and forwards queue on the destination links;
-        // they go out in the flush phase below, one vectored write per
-        // link per sweep.
-        let mut closed: Vec<(u64, SessionEnd)> = Vec::new();
-        for idx in 0..n {
-            if !wait.ready(1 + idx) {
-                continue;
-            }
-            let Some(ch) = links[idx].chan.as_mut() else {
-                continue;
-            };
-            inbuf.clear();
-            match poll_messages_into(&mut ch.conn, &mut ch.dec, &mut inbuf) {
-                Ok(()) => {
-                    if !inbuf.is_empty() {
-                        links[idx].last_heard = Instant::now();
-                        last_progress = Instant::now();
-                        progress = true;
-                    }
-                    for (seq, m) in inbuf.drain(..) {
-                        if let Some(m) = links[idx].link.accept(seq, m) {
-                            hub_handle(
-                                m,
-                                idx,
-                                &mut links,
-                                &mut sessions,
-                                metrics.as_ref(),
-                                &mut messages,
-                                &mut events,
-                                &mut closed,
-                                cfg,
-                                rec.as_ref(),
-                                registry.as_ref(),
-                            );
-                        }
-                    }
-                }
-                Err(e) => {
-                    if let Some(rec) = &rec {
-                        rec.record_global(EventKind::LinkDown, links[idx].place as u64, 0);
-                    }
-                    links[idx].drop_conn(&mut events, &e.to_string());
-                }
-            }
-        }
-        finish_closed(
-            d,
-            cfg,
-            closed,
-            &mut sessions,
-            &mut links,
-            &mut events,
-            metrics.as_ref(),
-            &mut tally,
-            &mut replay_cache,
-            rec.as_ref(),
-        );
-
-        // Heartbeats and supervision.
-        let now = Instant::now();
-        for link in links.iter_mut() {
-            if link.chan.is_some() {
-                if now.duration_since(link.last_heard) > dcfg.dead_after {
-                    if let Some(rec) = &rec {
-                        rec.record_global(EventKind::LinkDown, link.place as u64, 0);
-                    }
-                    link.drop_conn(&mut events, "heartbeat silence");
-                } else if now.duration_since(link.last_heartbeat) >= dcfg.heartbeat {
-                    link.last_heartbeat = now;
-                    let nonce = link.link.stats.frames_sent;
-                    link.push_control(WireMsg::Heartbeat { nonce }, &mut events);
-                }
-            }
-            if let Some(t) = link.disconnected_at {
-                let deadline = if link.ever_connected {
-                    dcfg.reconnect_deadline
-                } else {
-                    dcfg.join_deadline
-                };
-                if now.duration_since(t) > deadline && !sessions.is_empty() {
-                    dead_entity = Some(link.place);
-                    events.push(format!(
-                        "link place:{}: declared dead after {:?} without a connection",
-                        link.place, deadline
-                    ));
-                    break 'run;
-                }
-            }
-        }
-
-        // Flush phase: one vectored write per link per sweep carries
-        // everything this sweep queued (forwards, Opens, Closes,
-        // heartbeats) plus any due pure ack.
-        for link in links.iter_mut() {
-            progress |= link.flush(&mut events);
-        }
-        publish_batch_counters(&links, metrics.as_ref());
-        publish_gauges(&links, sessions.len(), metrics.as_ref());
-        // The labeled per-link map takes a lock the scraper shares;
-        // refresh it on a throttle, not every sweep.
-        if now.duration_since(last_backlog_refresh) >= Duration::from_millis(50) {
-            last_backlog_refresh = now;
-            let mut map = metrics.link_backlogs.lock().expect("gauge map poisoned");
-            map.clear();
-            for l in links.iter() {
-                map.insert(
-                    format!("place:{}", l.place),
-                    l.link.queued_frames() as u64 + l.link.unacked_len() as u64,
-                );
-            }
-        }
-
-        // Stall forensics (hub side): flag sessions past the configured
-        // or p99-derived deadline, once each, with the stage split and
-        // backlog gauges captured at flag time.
-        if now.duration_since(last_stall_check) >= Duration::from_millis(5) {
-            last_stall_check = now;
-            if let Some(deadline) = StallTracker::deadline(cfg, &metrics) {
-                for s in sessions.values() {
-                    if stall_records.len() >= MAX_STALLS {
-                        break;
-                    }
-                    let age = now.saturating_duration_since(s.started);
-                    if age < deadline || !stall_flagged.insert(s.id) {
-                        continue;
-                    }
-                    let age_us = age.as_micros() as u64;
-                    stall_records.push(StallRecord {
-                        session: s.id,
-                        age_us,
-                        deadline_us: deadline.as_micros() as u64,
-                        stages: StageBreakdown::attribute(
-                            age_us,
-                            s.queue_ns / 1000,
-                            s.step_ns / 1000,
-                            s.wire_ns / 1000,
-                            Some(s.notify_ns / 1000),
-                        ),
-                        // The hub cannot see backend states; each
-                        // entity's last reported step count is the
-                        // closest forensic analogue.
-                        entity_state: s
-                            .status
-                            .iter()
-                            .enumerate()
-                            .map(|(i, st)| (i as u32, st.map(|r| r.steps).unwrap_or(0)))
-                            .collect(),
-                        gauges: GaugeSnapshot::capture(&metrics),
-                        tail: registry
-                            .as_ref()
-                            .map(|r| r.snapshot().tail(s.id, 16))
-                            .unwrap_or_default(),
-                    });
-                }
-            }
-        }
-
-        // Global stall guard: nothing moved for too long — abort rather
-        // than hang (this also catches bugs in quiescence accounting).
-        if !sessions.is_empty() && now.duration_since(last_progress) > dcfg.stall_timeout {
-            events.push(format!(
-                "no progress for {:?}: aborting {} live session(s)",
-                dcfg.stall_timeout,
-                sessions.len()
-            ));
-            break 'run;
-        }
-    }
-
-    // Abort whatever is still live (dead entity or stall) — including
-    // sessions the window had not opened yet, so every configured
-    // session appears in the report with a verdict.
-    while next < cfg.sessions && (dead_entity.is_some() || !sessions.is_empty()) {
-        let id = next as u64;
-        sessions.insert(id, HubSession::new(id, cfg.session_seed(next), n));
-        next += 1;
-    }
-    let live: Vec<u64> = sessions.keys().copied().collect();
-    for id in live {
-        let s = sessions.remove(&id).expect("live session");
-        if let Some(p) = dead_entity {
-            events.push(format!(
-                "session {id}: aborted (entity at place {p} is dead)"
-            ));
-        } else {
-            events.push(format!("session {id}: aborted (run stalled)"));
-        }
-        for link in links.iter_mut() {
-            link.push(
-                WireMsg::Close {
-                    session: id,
-                    end: end_to_byte(SessionEnd::Aborted),
-                },
-                &mut events,
-            );
-        }
-        finalize_hub_session(
-            d,
-            cfg,
-            s,
-            SessionEnd::Aborted,
-            metrics.as_ref(),
-            &mut tally,
-            &mut replay_cache,
-            rec.as_ref(),
-        );
-    }
-
-    // Orderly shutdown of surviving entities, with a bounded drain: the
-    // listener stays open so an entity that was mid-reconnect can come
-    // back for its buffered Close/Shutdown frames. A link is done once
-    // its peer has acked everything and closed the connection (an
-    // entity force-acks right before exiting on Shutdown); anything
-    // else is capped by the reconnect deadline.
-    for link in links.iter_mut() {
-        link.push(WireMsg::Shutdown, &mut events);
-        // `push` only coalesces; force the batch out now — the Shutdown
-        // (and any abort-path Closes still queued) must not wait for the
-        // entity to time out and reconnect for its resume retransmit.
-        link.flush(&mut events);
-    }
-    let drain_deadline = Instant::now() + dcfg.reconnect_deadline;
-    let mut done: Vec<bool> = links.iter().map(|l| Some(l.place) == dead_entity).collect();
-    while Instant::now() < drain_deadline && done.iter().any(|d| !d) {
-        wait.clear();
-        wait.push(Some(listener.as_raw_fd()));
-        for (link, &d) in links.iter().zip(&done) {
-            wait.push(if d { None } else { link.raw_fd() });
-        }
-        wait.wait_readable(dcfg.poll)?;
-        while wait.ready(0) {
-            let Ok(Some(conn)) = listener.accept() else {
-                break;
-            };
-            let Ok((place, last_seen, mut chan, leftovers)) = hub_handshake(conn, dcfg) else {
-                continue;
-            };
-            let Some(&idx) = place_index.get(&place) else {
-                continue;
-            };
-            let link = &mut links[idx];
-            if let Some(old) = link.chan.take() {
-                old.conn.shutdown();
-            }
-            wait.forget(1 + idx); // described the old socket
-            let welcome = WireMsg::Welcome {
-                last_seen: link.link.last_delivered(),
-            };
-            if chan.conn.write_all(&welcome.encode(0)).is_ok()
-                && link.link.resume(&mut chan.conn, last_seen).is_ok()
-            {
-                link.chan = Some(chan);
-                for (seq, m) in leftovers {
-                    // Trace chunks are the one payload still expected
-                    // during drain — an entity flushes its recorder
-                    // right before exiting.
-                    if let Some(WireMsg::Trace { chunk }) = link.link.accept(seq, m) {
-                        if let Some(reg) = &registry {
-                            reg.absorb(&chunk);
-                        }
-                    }
-                }
-                // Ack what the resume delivered so the entity can
-                // retire its resend buffer and exit promptly.
-                if let Some(ch) = link.chan.as_mut() {
-                    let _ = link.link.maybe_ack(&mut ch.conn, true);
-                }
-            }
-        }
-        for (idx, done_flag) in done.iter_mut().enumerate() {
-            if *done_flag || !wait.ready(1 + idx) {
-                continue;
-            }
-            let link = &mut links[idx];
-            let Some(ch) = link.chan.as_mut() else {
-                continue;
-            };
-            match poll_messages(&mut ch.conn, &mut ch.dec) {
-                Ok(batch) => {
-                    for (seq, m) in batch {
-                        if let Some(WireMsg::Trace { chunk }) = link.link.accept(seq, m) {
-                            if let Some(reg) = &registry {
-                                reg.absorb(&chunk);
-                            }
-                        }
-                    }
-                    // Force-ack so a lingering entity sees delivery and
-                    // exits instead of waiting out its flush window.
-                    let _ = link.link.maybe_ack(&mut ch.conn, true);
-                }
-                Err(_) => {
-                    if let Some(ch) = link.chan.take() {
-                        ch.conn.shutdown();
-                    }
-                    // EOF with an empty resume buffer means the entity
-                    // saw everything and exited; otherwise keep the
-                    // reconnect window open.
-                    *done_flag = link.link.unacked_len() == 0;
-                }
-            }
-        }
-    }
-
-    let per_link: BTreeMap<String, LinkReport> = links
+    let core = HubCore::new(
+        &d.service,
+        cfg,
+        places,
+        window,
+        Arc::clone(&metrics),
+        registry,
+    );
+    let mut hub = Hub::new(core, dcfg, listener);
+    let dead = hub.run()?;
+    hub.core.abort_live(dead, hub.links.as_mut_slice());
+    hub.drain(dead)?;
+    let per_link = hub
+        .links
         .iter()
-        .map(|l| (format!("place:{}", l.place), l.report()))
+        .map(|l| (format!("place:{}", l.place), report_of(&l.peer.link)))
         .collect();
-
-    let wall_s = started.elapsed().as_secs_f64();
-    let mut report = RuntimeReport {
-        engine: "distributed",
-        backend: backend_desc(&lowered),
-        schema_version: crate::metrics::REPORT_SCHEMA_VERSION,
-        config: cfg.clone(),
-        sessions: tally.reports.len(),
-        conforming: tally.conforming,
-        terminated: tally.terminated,
-        deadlocked: tally.deadlocked,
-        step_limited: tally.step_limited,
-        aborted: tally.aborted,
-        violations: std::mem::take(&mut tally.violations),
-        primitives: tally.reports.iter().map(|r| r.primitives).sum(),
-        messages,
-        delivered: messages,
-        messages_per_kind: std::mem::take(&mut tally.per_kind),
-        max_queue_depth: 0,
-        frames_lost: 0,
-        retransmissions: per_link.values().map(|l| l.retransmissions).sum(),
-        per_link,
-        transport_events: events,
-        wall_s,
-        sessions_per_sec: if wall_s > 0.0 {
-            tally.reports.len() as f64 / wall_s
-        } else {
-            0.0
-        },
-        session_latency: metrics.session_latency.summary(),
-        stages: metrics.stages.summaries(),
-        stalls: stall_records,
-        gauges: GaugeSnapshot::capture(&metrics),
-        per_prim: metrics
-            .per_prim
-            .iter()
-            .map(|(k, h)| (k.clone(), h.summary()))
-            .collect(),
-        phases: Vec::new(),
-        trace_meta: None,
-        abort_tails: BTreeMap::new(),
-        reports: std::mem::take(&mut tally.reports),
-    };
-    if let Some(reg) = &registry {
-        crate::exec::attach_recorder_artifacts(&mut report, reg);
-    }
+    let report = hub.core.report(backend_desc(&lowered), per_link, started);
     if let Some(srv) = server {
         srv.stop();
     }
     Ok(report)
 }
 
-/// Read the entity's `Hello` off a fresh connection. Returns the place,
-/// the peer's `last_seen`, the channel, and any frames that arrived in
-/// the same batch (already decoded, not yet accepted).
-type Handshake = (PlaceId, u64, Channel, Vec<(u64, WireMsg)>);
-
-fn hub_handshake(conn: transport::Conn, dcfg: &DistributedConfig) -> io::Result<Handshake> {
-    conn.set_read_timeout(Some(dcfg.poll))?;
-    conn.set_write_timeout(Some(dcfg.dead_after))?;
-    let mut chan = Channel::new(conn);
-    let deadline = Instant::now() + dcfg.handshake_timeout;
-    loop {
-        let mut batch = poll_messages(&mut chan.conn, &mut chan.dec)?.into_iter();
-        if let Some((_, first)) = batch.next() {
-            let WireMsg::Hello { place, last_seen } = first else {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "expected Hello as the first frame",
-                ));
-            };
-            return Ok((place, last_seen, chan, batch.collect()));
-        }
-        if Instant::now() >= deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "no Hello within the handshake timeout",
-            ));
-        }
-    }
-}
-
-/// Dispatch one accepted message from entity `idx`.
-#[allow(clippy::too_many_arguments)]
-fn hub_handle(
-    msg: WireMsg,
-    idx: usize,
-    links: &mut [EntityLink],
-    sessions: &mut BTreeMap<u64, HubSession>,
-    metrics: &Metrics,
-    messages: &mut usize,
-    events: &mut Vec<String>,
-    closed: &mut Vec<(u64, SessionEnd)>,
-    cfg: &RuntimeConfig,
-    rec: Option<&Recorder>,
+/// The live observability routes: Prometheus text at `/metrics`, a JSON
+/// health snapshot at `/health`, and — when the run is recorded — a
+/// Chrome-trace snapshot of the merged log at `/trace`.
+fn metrics_routes(
+    metrics: &Arc<Metrics>,
     registry: Option<&Arc<Registry>>,
-) {
-    match msg {
-        WireMsg::Prim {
-            session,
-            name,
-            place,
-            lc,
-        } => {
-            if let Some(s) = sessions.get_mut(&session) {
-                let now = Instant::now();
-                let since = s.last_prim.unwrap_or(s.started);
-                metrics.record_prim(&name, now.duration_since(since).as_micros() as u64);
-                s.mark(now, Mark::Step);
-                s.last_prim = Some(now);
-                s.lc = s.lc.max(lc) + 1;
-                if let Some(rec) = rec {
-                    rec.record_named(EventKind::Prim, session, s.lc, &name, place as u64);
-                }
-                s.trace.push((name, place));
-            }
+    started: Instant,
+) -> Vec<(String, obs::Handler)> {
+    let (m, h) = (Arc::clone(metrics), Arc::clone(metrics));
+    let mut routes: Vec<(String, obs::Handler)> = vec![
+        (
+            "/metrics".to_string(),
+            Arc::new(move || ("text/plain; version=0.0.4".to_string(), m.to_prometheus())),
+        ),
+        (
+            "/health".to_string(),
+            Arc::new(move || {
+                let health = h.health_json(started.elapsed().as_secs_f64());
+                ("application/json".to_string(), health)
+            }),
+        ),
+    ];
+    if let Some(reg) = registry.cloned() {
+        routes.push((
+            "/trace".to_string(),
+            Arc::new(move || {
+                let trace = reg.snapshot().to_chrome_json();
+                ("application/json".to_string(), trace)
+            }),
+        ));
+    }
+    routes
+}
+
+/// An entity's `Hello`: its place, the last sequence number it
+/// delivered, and the frames that arrived behind the Hello (decoded, not
+/// yet accepted).
+type Hello = (PlaceId, u64, Vec<(u64, WireMsg)>);
+
+/// An accepted connection whose `Hello` has not arrived yet. It waits in
+/// the readiness set like a link, so a silent peer never blocks the hub.
+struct Handshake {
+    chan: Channel,
+    since: Instant,
+}
+
+/// Read a handshaking connection: its `Hello` once a whole frame has
+/// arrived, `None` before.
+fn read_hello(chan: &mut Channel) -> io::Result<Option<Hello>> {
+    let mut batch = poll_messages(&mut chan.conn, &mut chan.dec)?.into_iter();
+    match batch.next() {
+        None => Ok(None),
+        Some((_, WireMsg::Hello { place, last_seen })) => {
+            Ok(Some((place, last_seen, batch.collect())))
         }
-        WireMsg::Data {
-            session,
-            msg,
-            path,
-            lc,
-        } => {
-            let Some(s) = sessions.get_mut(&session) else {
-                return; // late traffic of a closed session
-            };
-            let dest = links.iter().position(|l| l.place == msg.to);
-            let Some(dest) = dest else {
-                events.push(format!("data for unknown place {}", msg.to));
-                return;
-            };
-            // Mark before the forward counts: the elapsed interval is
-            // classified by what was in flight *during* it.
-            s.mark(Instant::now(), Mark::Step);
-            s.forwarded[dest] += 1;
-            s.messages += 1;
-            *messages += 1;
-            metrics.messages_sent.fetch_add(1, Ordering::Relaxed);
-            s.lc = s.lc.max(lc) + 1;
-            if let Some(rec) = rec {
-                let (a, b) = pack_msg_event(rec, &msg.id, msg.occ, msg.from, msg.to);
-                rec.record(EventKind::Forward, session, s.lc, a, b);
-            }
-            links[dest].push(
-                WireMsg::Data {
-                    session,
-                    msg,
-                    path,
-                    lc,
-                },
-                events,
-            );
-        }
-        WireMsg::Trace { chunk } => {
-            if let Some(reg) = registry {
-                reg.absorb(&chunk);
-            }
-        }
-        WireMsg::Status {
-            session,
-            seen,
-            inbox_empty,
-            vote,
-            steps,
-            ..
-        } => {
-            if let Some(s) = sessions.get_mut(&session) {
-                s.mark(Instant::now(), Mark::Notify);
-                let newly_acked = seen.saturating_sub(s.acked[idx]);
-                metrics
-                    .messages_delivered
-                    .fetch_add(newly_acked as usize, Ordering::Relaxed);
-                s.acked[idx] = s.acked[idx].max(seen);
-                s.status[idx] = Some(StatusRec {
-                    seen,
-                    vote,
-                    inbox_empty,
-                    steps,
-                });
-                if let Some(end) = s.decide(cfg.max_steps as u64) {
-                    closed.push((session, end));
-                }
-            }
-        }
-        WireMsg::Heartbeat { nonce } => {
-            links[idx].push_control(WireMsg::HeartbeatAck { nonce }, events);
-        }
-        WireMsg::HeartbeatAck { .. } => {}
-        other => {
-            events.push(format!(
-                "unexpected {other:?} from place {}",
-                links[idx].place
-            ));
-        }
+        Some(_) => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "expected Hello as the first frame",
+        )),
     }
 }
 
-/// Close decided sessions: notify every entity, then finalize.
-#[allow(clippy::too_many_arguments)]
-fn finish_closed(
-    d: &Derivation,
-    cfg: &RuntimeConfig,
-    closed: Vec<(u64, SessionEnd)>,
-    sessions: &mut BTreeMap<u64, HubSession>,
-    links: &mut [EntityLink],
-    events: &mut Vec<String>,
-    metrics: &Metrics,
-    tally: &mut Tally,
-    replay_cache: &mut ReplayCache,
-    rec: Option<&Recorder>,
-) {
-    for (id, end) in closed {
-        let Some(s) = sessions.remove(&id) else {
-            continue;
+/// The hub's sockets around its [`HubCore`]: the listener, one link per
+/// entity, accepted connections still in their handshake, and the one
+/// readiness set over all of them.
+struct Hub<'a> {
+    core: HubCore<'a>,
+    dcfg: &'a DistributedConfig,
+    listener: transport::Listener,
+    links: Vec<EntityLink>,
+    handshakes: Vec<Handshake>,
+    /// Readiness slots: 0 is the listener, `1 + idx` is link `idx`
+    /// (`None` while it has no connection), then one slot per handshake.
+    wait: Readiness,
+    inbuf: Vec<(u64, WireMsg)>,
+    /// Set for the shutdown drain, which reads only trace chunks' worth
+    /// of traffic and lets links end quietly.
+    draining: bool,
+    /// Links whose entity is gone for good (drain only).
+    drained: Vec<bool>,
+    last_progress: Instant,
+    last_backlog_refresh: Instant,
+}
+
+impl<'a> Hub<'a> {
+    fn new(
+        core: HubCore<'a>,
+        dcfg: &'a DistributedConfig,
+        listener: transport::Listener,
+    ) -> Hub<'a> {
+        let now = Instant::now();
+        let links: Vec<EntityLink> = core
+            .places()
+            .iter()
+            .map(|&place| EntityLink {
+                place,
+                peer: Peer::new(dcfg.batch_config()),
+                disconnected_at: Some(now),
+                ever_connected: false,
+            })
+            .collect();
+        Hub {
+            drained: vec![false; links.len()],
+            core,
+            dcfg,
+            listener,
+            links,
+            handshakes: Vec::new(),
+            wait: Readiness::default(),
+            inbuf: Vec::new(),
+            draining: false,
+            last_progress: now,
+            last_backlog_refresh: now,
+        }
+    }
+
+    /// The run loop: sweeps until every session is closed, an entity is
+    /// declared dead (its place is returned), or nothing moves for
+    /// `stall_timeout`.
+    fn run(&mut self) -> io::Result<Option<PlaceId>> {
+        // Did the previous sweep move anything? Then the next wait only
+        // samples readiness; otherwise it parks until a socket wakes it
+        // or `dcfg.poll` elapses (timers: heartbeats, idle acks,
+        // handshake and supervision deadlines).
+        let mut progress = true;
+        while !self.core.done() {
+            self.wait(if progress {
+                Duration::ZERO
+            } else {
+                self.dcfg.poll
+            })?;
+            progress = self.core.open_due(self.links.as_mut_slice());
+            progress |= self.accept();
+            if self.read_links() {
+                self.last_progress = Instant::now();
+                progress = true;
+            }
+            self.core.close_decided(self.links.as_mut_slice());
+            let now = Instant::now();
+            if let Some(dead) = self.supervise(now) {
+                return Ok(Some(dead));
+            }
+            progress |= self.flush(now);
+            self.core.sweep_stalls(now);
+            // Global stall guard: nothing moved for too long — abort
+            // rather than hang (this also catches bugs in quiescence
+            // accounting).
+            let live = self.core.live();
+            if live > 0 && now.duration_since(self.last_progress) > self.dcfg.stall_timeout {
+                self.core.events.push(format!(
+                    "no progress for {:?}: aborting {live} live session(s)",
+                    self.dcfg.stall_timeout
+                ));
+                return Ok(None);
+            }
+        }
+        Ok(None)
+    }
+
+    /// Orderly shutdown of surviving entities, with a bounded drain: the
+    /// listener stays open so an entity that was mid-reconnect can come
+    /// back for its buffered Close/Shutdown frames. A link is done once
+    /// its peer has acked everything and closed the connection (an
+    /// entity force-acks right before exiting on Shutdown); anything
+    /// else is capped by the reconnect deadline.
+    fn drain(&mut self, dead: Option<PlaceId>) -> io::Result<()> {
+        let events = &mut self.core.events;
+        for idx in 0..self.links.len() {
+            self.links
+                .as_mut_slice()
+                .send(idx, WireMsg::Shutdown, events);
+            // `send` only coalesces; force the batch out now — the
+            // Shutdown (and any abort-path Closes still queued) must not
+            // wait for the entity to time out and reconnect for its
+            // resume retransmit.
+            self.links[idx].flush(events);
+        }
+        self.draining = true;
+        self.drained = self.links.iter().map(|l| Some(l.place) == dead).collect();
+        let deadline = Instant::now() + self.dcfg.reconnect_deadline;
+        while Instant::now() < deadline && self.drained.contains(&false) {
+            self.wait(self.dcfg.poll)?;
+            // Trace chunks are the one payload still expected: an entity
+            // flushes its recorder right before exiting.
+            self.accept();
+            self.read_links();
+            // Ack at once, so a lingering entity sees delivery and exits
+            // instead of waiting out its flush window.
+            for link in self.links.iter_mut() {
+                let _ = link.peer.flush(true);
+            }
+        }
+        Ok(())
+    }
+
+    /// Park until a socket is readable or `timeout` passes.
+    fn wait(&mut self, timeout: Duration) -> io::Result<()> {
+        self.wait.clear();
+        self.wait.push(Some(self.listener.as_raw_fd()));
+        for (link, &drained) in self.links.iter().zip(&self.drained) {
+            self.wait
+                .push(if drained { None } else { link.peer.raw_fd() });
+        }
+        for h in &self.handshakes {
+            self.wait.push(Some(h.chan.conn.as_raw_fd()));
+        }
+        self.wait.wait_readable(timeout)
+    }
+
+    /// The one accept path, for the run loop and the drain alike: read
+    /// the handshakes the wait found readable and adopt each connection
+    /// whose `Hello` arrived, give up on those past `handshake_timeout`,
+    /// then accept new connections into the handshake set. Returns
+    /// whether a link was adopted.
+    fn accept(&mut self) -> bool {
+        let first = 1 + self.links.len();
+        let mut adopted = false;
+        for (k, mut h) in std::mem::take(&mut self.handshakes).into_iter().enumerate() {
+            let hello = if self.wait.ready(first + k) {
+                read_hello(&mut h.chan)
+            } else {
+                Ok(None)
+            };
+            let failed = match hello {
+                Ok(Some(hello)) => {
+                    adopted |= self.adopt(hello, h.chan);
+                    continue;
+                }
+                Ok(None) if h.since.elapsed() < self.dcfg.handshake_timeout => {
+                    self.handshakes.push(h);
+                    continue;
+                }
+                Ok(None) => "no Hello within the handshake timeout".to_string(),
+                Err(e) => e.to_string(),
+            };
+            h.chan.conn.shutdown();
+            self.core.events.push(format!("handshake failed: {failed}"));
+        }
+        if self.wait.ready(0) {
+            while let Ok(Some(conn)) = self.listener.accept() {
+                let timeouts = conn
+                    .set_read_timeout(Some(self.dcfg.poll))
+                    .and_then(|()| conn.set_write_timeout(Some(self.dcfg.dead_after)));
+                match timeouts {
+                    Ok(()) => self.handshakes.push(Handshake {
+                        chan: Channel::new(conn),
+                        since: Instant::now(),
+                    }),
+                    Err(e) => self.core.events.push(format!("handshake failed: {e}")),
+                }
+            }
+        }
+        adopted
+    }
+
+    /// Give the entity's link a connection whose `Hello` arrived: answer
+    /// `Welcome`, resume the link from the peer's `last_seen`, and hand
+    /// the frames behind the Hello to the core.
+    fn adopt(&mut self, (place, last_seen, leftovers): Hello, mut chan: Channel) -> bool {
+        let Some(idx) = self.links.iter().position(|l| l.place == place) else {
+            self.core
+                .events
+                .push(format!("rejected connection for unknown place {place}"));
+            return false;
         };
-        for link in links.iter_mut() {
-            link.push(
-                WireMsg::Close {
-                    session: id,
-                    end: end_to_byte(end),
-                },
-                events,
-            );
+        let link = &mut self.links[idx];
+        link.peer.close(false);
+        let peer = &mut link.peer;
+        let welcome = WireMsg::Welcome {
+            last_seen: peer.link.last_delivered(),
+        };
+        let resent_before = peer.link.stats.frames_resent;
+        if chan.conn.write_all(&welcome.encode(0)).is_err()
+            || peer.link.resume(&mut chan.conn, last_seen).is_err()
+        {
+            chan.conn.shutdown();
+            return false;
         }
-        finalize_hub_session(d, cfg, s, end, metrics, tally, replay_cache, rec);
+        // This sweep's readiness described the old socket.
+        self.wait.forget(1 + idx);
+        let reconnect = link.ever_connected;
+        link.peer.chan = Some(chan);
+        link.peer.last_heard = Instant::now();
+        link.ever_connected = true;
+        link.disconnected_at = None;
+        if reconnect {
+            self.core
+                .events
+                .push(format!("link place:{place}: reconnected and resumed"));
+        }
+        if let Some(rec) = &self.core.rec {
+            if reconnect {
+                let reconnects = link.peer.link.stats.reconnects.saturating_sub(1);
+                rec.record_global(EventKind::LinkReconnect, place as u64, reconnects);
+            } else {
+                rec.record_global(EventKind::LinkConnect, place as u64, 0);
+            }
+            let resent = link.peer.link.stats.frames_resent - resent_before;
+            if resent > 0 {
+                rec.record_global(EventKind::LinkRetransmit, place as u64, resent);
+            }
+        }
+        self.last_progress = Instant::now();
+        self.deliver(idx, leftovers);
+        true
     }
-}
 
-/// Note: `Close` frames are pushed by the caller (it owns the links).
-#[allow(clippy::too_many_arguments)]
-fn finalize_hub_session(
-    d: &Derivation,
-    cfg: &RuntimeConfig,
-    mut s: HubSession,
-    end: SessionEnd,
-    metrics: &Metrics,
-    tally: &mut Tally,
-    replay_cache: &mut ReplayCache,
-    rec: Option<&Recorder>,
-) {
-    s.mark(Instant::now(), Mark::Notify);
-    let latency_us = s.started.elapsed().as_micros() as u64;
-    metrics.session_latency.record(latency_us);
-    metrics.sessions_completed.fetch_add(1, Ordering::Relaxed);
-    let stages = StageBreakdown::attribute(
-        latency_us,
-        s.queue_ns / 1000,
-        s.step_ns / 1000,
-        s.wire_ns / 1000,
-        Some(s.notify_ns / 1000),
-    );
-    metrics.stages.record(&stages);
-    let (violation, may_terminate) = replay_cache.replay(&d.service, &s.trace);
-    let conforms = violation.is_none() && end == SessionEnd::Terminated && may_terminate;
-    if let Some(rec) = rec {
-        if let Some((name, place, _)) = &violation {
-            rec.record_named(EventKind::Violation, s.id, s.lc, name, *place as u64);
+    /// Pass frames read off link `idx` through its exactly-once filter
+    /// to the core. Replies and forwards queue on the destination links;
+    /// they go out in the flush phase, one vectored write per link per
+    /// sweep.
+    fn deliver(&mut self, idx: usize, frames: impl IntoIterator<Item = (u64, WireMsg)>) {
+        for (seq, m) in frames {
+            if let Some(m) = self.links[idx].peer.link.accept(seq, m) {
+                self.core.handle(idx, m, self.links.as_mut_slice());
+            }
         }
-        if end == SessionEnd::Aborted {
-            rec.record(EventKind::Abort, s.id, s.lc, 0, 0);
+    }
+
+    /// Read every link the wait found readable and deliver its frames.
+    /// Returns whether any frame arrived.
+    fn read_links(&mut self) -> bool {
+        let mut inbuf = std::mem::take(&mut self.inbuf);
+        let mut heard = false;
+        for idx in 0..self.links.len() {
+            if self.drained[idx] || !self.wait.ready(1 + idx) {
+                continue;
+            }
+            let Some(ch) = self.links[idx].peer.chan.as_mut() else {
+                continue;
+            };
+            inbuf.clear();
+            match poll_messages_into(&mut ch.conn, &mut ch.dec, &mut inbuf) {
+                Ok(()) if inbuf.is_empty() => {}
+                Ok(()) => {
+                    heard = true;
+                    self.links[idx].peer.last_heard = Instant::now();
+                    self.deliver(idx, inbuf.drain(..));
+                }
+                Err(e) => self.read_failed(idx, &e),
+            }
         }
-        rec.record(
-            EventKind::SessionClose,
-            s.id,
-            s.lc,
-            end_to_byte(end) as u64,
-            0,
-        );
+        self.inbuf = inbuf;
+        heard
     }
-    if let Some((name, place, at)) = &violation {
-        tally.violations.push(ViolationRecord {
-            session: s.id,
-            seed: s.seed,
-            primitive: name.clone(),
-            place: *place,
-            at: *at,
-            trace: s.trace.clone(),
-            tail: Vec::new(),
-        });
+
+    /// A link's read failed: while running, the connection is lost (and
+    /// the reconnect window opens); during the drain, EOF with an empty
+    /// resume buffer means the entity saw everything and exited.
+    fn read_failed(&mut self, idx: usize, e: &io::Error) {
+        let link = &mut self.links[idx];
+        if self.draining {
+            link.peer.close(false);
+            self.drained[idx] = link.peer.link.unacked_len() == 0;
+        } else {
+            if let Some(rec) = &self.core.rec {
+                rec.record_global(EventKind::LinkDown, link.place as u64, 0);
+            }
+            link.drop_conn(&mut self.core.events, &e.to_string());
+        }
     }
-    let keep_trace = violation.is_some() || cfg.sessions == 1 || end == SessionEnd::Aborted;
-    tally.absorb(SessionReport {
-        id: s.id,
-        seed: s.seed,
-        end,
-        conforms,
-        violation: violation.as_ref().map(|(n, p, _)| (n.clone(), *p)),
-        primitives: s.trace.len(),
-        messages: s.messages,
-        // Exact at close: `decide` only closes once every entity's last
-        // status is current, and a parked entity steps again only after
-        // new data — which would have made that status stale.
-        steps: s.status.iter().flatten().map(|st| st.steps as usize).sum(),
-        latency_us,
-        stages,
-        trace: if keep_trace { s.trace } else { Vec::new() },
-    });
+
+    /// Heartbeats and supervision: tear down connections silent past
+    /// `dead_after`, heartbeat the others, and return the place of an
+    /// entity that stayed disconnected past its reconnect (or join)
+    /// deadline while sessions are live.
+    fn supervise(&mut self, now: Instant) -> Option<PlaceId> {
+        let live = self.core.live() > 0;
+        for link in self.links.iter_mut() {
+            if link.peer.chan.is_some() {
+                if now.duration_since(link.peer.last_heard) > self.dcfg.dead_after {
+                    if let Some(rec) = &self.core.rec {
+                        rec.record_global(EventKind::LinkDown, link.place as u64, 0);
+                    }
+                    link.drop_conn(&mut self.core.events, "heartbeat silence");
+                } else {
+                    link.peer.heartbeat(now, self.dcfg.heartbeat);
+                }
+            }
+            let deadline = if link.ever_connected {
+                self.dcfg.reconnect_deadline
+            } else {
+                self.dcfg.join_deadline
+            };
+            if live
+                && link
+                    .disconnected_at
+                    .is_some_and(|t| now.duration_since(t) > deadline)
+            {
+                self.core.events.push(format!(
+                    "link place:{}: declared dead after {:?} without a connection",
+                    link.place, deadline
+                ));
+                return Some(link.place);
+            }
+        }
+        None
+    }
+
+    /// Flush phase: one vectored write per link carries everything this
+    /// sweep queued (forwards, Opens, Closes, heartbeats) plus any due
+    /// pure ack; then the live gauges are refreshed. Returns whether any
+    /// frames went out.
+    fn flush(&mut self, now: Instant) -> bool {
+        let mut sent = false;
+        for link in self.links.iter_mut() {
+            sent |= link.flush(&mut self.core.events);
+        }
+        // The labeled per-link backlog map takes a lock the scraper
+        // shares: refresh it on a throttle, not every sweep.
+        let per_link = now.duration_since(self.last_backlog_refresh) >= Duration::from_millis(50);
+        if per_link {
+            self.last_backlog_refresh = now;
+        }
+        self.publish(per_link);
+        sent
+    }
+
+    /// Mirror the links into the live metrics the `/metrics` endpoint
+    /// serves: cumulative batching stats (they only grow, so a plain
+    /// store of the sums is race-free against the scraper), outbound
+    /// backlog (queued plus unacked frames), encode-pool use, window
+    /// occupancy and, with `per_link`, the labeled per-link backlogs.
+    fn publish(&self, per_link: bool) {
+        let m = &self.core.metrics;
+        let mut map = per_link.then(|| m.link_backlogs.lock().expect("gauge map poisoned"));
+        if let Some(map) = map.as_mut() {
+            map.clear();
+        }
+        let (mut batches, mut bytes, mut piggy) = (0, 0, 0);
+        let (mut backlog, mut free, mut total) = (0, 0, 0);
+        for l in &self.links {
+            let link = &l.peer.link;
+            batches += link.stats.batches_sent as usize;
+            bytes += link.stats.bytes_sent as usize;
+            piggy += link.stats.piggybacked_acks as usize;
+            let queued = link.queued_frames() as usize + link.unacked_len();
+            backlog += queued;
+            let (f, t) = link.pool_available();
+            free += f;
+            total += t;
+            if let Some(map) = map.as_mut() {
+                map.insert(format!("place:{}", l.place), queued as u64);
+            }
+        }
+        let store = |gauge: &std::sync::atomic::AtomicUsize, v| gauge.store(v, Ordering::Relaxed);
+        store(&m.batches_sent, batches);
+        store(&m.bytes_sent, bytes);
+        store(&m.piggybacked_acks, piggy);
+        store(&m.link_backlog_frames, backlog);
+        store(&m.pool_bufs_free, free);
+        store(&m.pool_bufs_total, total);
+        store(&m.window_occupancy, self.core.live());
+    }
 }
 
 // ======================================================================
@@ -1412,138 +950,41 @@ pub struct ServeOutcome {
     pub link: LinkReport,
 }
 
-/// One session as stepped by an entity process.
-struct EntSession {
-    state: BState,
-    rng: StdRng,
-    inbox: BTreeMap<PlaceId, VecDeque<Msg>>,
-    seen: u64,
-    consumed: u64,
-    steps: u64,
-    max_steps: u64,
-    parked: bool,
-    /// Per-session Lamport clock: merged with the wire clock of every
-    /// arriving `Data` frame, +1 per executed move, and stamped on every
-    /// outgoing `Prim`/`Data` frame and recorded event.
-    lc: u64,
-}
-
-/// Entity-side flight-recorder state: created lazily when the first
-/// `Open` carries a nonzero trace id (the hub is recording), so an
-/// untraced hub costs the entity nothing.
-#[derive(Default)]
-struct EntObs {
-    registry: Option<Arc<Registry>>,
-    rec: Option<Recorder>,
-}
-
-impl EntObs {
-    fn ensure(&mut self, trace: u64, place: PlaceId) {
-        if trace != 0 && self.registry.is_none() {
-            let reg = Registry::new(trace, obs::DEFAULT_CAPACITY);
-            self.rec = Some(reg.recorder(place));
-            self.registry = Some(reg);
-        }
-    }
-}
-
-/// Moves executed per session per scheduling slice.
-const SLICE: usize = 128;
-
 /// Run one protocol entity against a hub until the hub shuts the link
 /// down. Returns `Err` (with a diagnostic) when the link dies for good —
 /// connect/reconnect budget exhausted — so the caller can exit with the
 /// transport failure code.
 pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, String> {
-    let occ = Arc::new(Mutex::new(OccTable::new()));
-    let lowered = lower_for(&[(cfg.place, entity.clone())], cfg.backend)?;
-    let mut backend = make_backend(
-        entity,
-        lowered.into_iter().next().flatten(),
-        &Arc::new(TermArena::new()),
-        &occ,
-    );
-    let mut link = Link::with_batch(cfg.batch_config());
-    let mut chan: Option<Channel> = None;
-    let mut backoff = Backoff::new(
-        cfg.backoff_base,
-        cfg.backoff_cap,
-        cfg.retry_budget,
-        fx_hash(&(cfg.seed, cfg.place)),
-    );
-    let mut sessions: BTreeMap<u64, EntSession> = BTreeMap::new();
-    let mut runnable: BTreeSet<u64> = BTreeSet::new();
-    let mut outcome = ServeOutcome::default();
-    let mut obs = EntObs::default();
-    let mut shutdown = false;
-    let mut trace_flushed = false;
-    let mut flush_deadline = Instant::now();
-    let mut last_heard = Instant::now();
-    let mut last_hb = Instant::now();
-    let mut outbox: Vec<WireMsg> = Vec::new();
-    let mut inbuf: Vec<(u64, WireMsg)> = Vec::new();
+    let mut proc = EntityProc::new(entity, cfg)?;
+    let mut hub = HubLink::new(cfg);
     let mut wait = Readiness::default();
-
+    let mut inbuf: Vec<(u64, WireMsg)> = Vec::new();
+    // Once the run is over and the trace tail went out: how long to
+    // linger for the hub's acks.
+    let mut linger: Option<Instant> = None;
+    let finish = |outcome: ServeOutcome, link: &Link| ServeOutcome {
+        link: report_of(link),
+        ..outcome
+    };
     loop {
-        // (Re)connect under the backoff policy.
-        if chan.is_none() {
-            if trace_flushed && Instant::now() >= flush_deadline {
-                // The run is over and the tail flush is best-effort:
-                // don't burn the whole retry budget chasing a hub that
-                // already closed its drain window.
-                outcome.link = stats_of(&link);
-                return Ok(outcome);
+        if hub.peer.chan.is_none() {
+            if linger.is_some_and(|t| Instant::now() >= t) {
+                // The tail flush is best-effort: don't burn the whole
+                // retry budget chasing a hub that already closed its
+                // drain window.
+                return Ok(finish(proc.outcome, &hub.peer.link));
             }
-            let resent_before = link.stats.frames_resent;
-            match entity_connect(cfg, &mut link, &mut backoff) {
-                Ok((c, leftovers)) => {
-                    chan = Some(c);
-                    backoff.reset();
-                    last_heard = Instant::now();
-                    // The entity's side of a resume: the hub cannot see
-                    // what this end retransmitted, so the merged trace
-                    // learns it from here. (A recorder exists only once
-                    // a traced `Open` arrived, i.e. never on first join.)
-                    if let Some(rec) = &obs.rec {
-                        // The peer is the hub, place 0; the event's own
-                        // place (the recorder's) tells it from the
-                        // hub's record of the same resume.
-                        let reconnects = link.stats.reconnects.saturating_sub(1);
-                        rec.record_global(EventKind::LinkReconnect, 0, reconnects);
-                        let resent = link.stats.frames_resent - resent_before;
-                        if resent > 0 {
-                            rec.record_global(EventKind::LinkRetransmit, 0, resent);
-                        }
-                    }
-                    for (seq, m) in leftovers {
-                        if let Some(m) = link.accept(seq, m) {
-                            entity_handle(
-                                m,
-                                cfg,
-                                &mut backend,
-                                &occ,
-                                &mut sessions,
-                                &mut runnable,
-                                &mut outcome,
-                                &mut shutdown,
-                                &mut outbox,
-                                &mut obs,
-                            );
-                        }
-                    }
-                }
+            match hub.connect(proc.rec.as_ref()) {
+                Ok(leftovers) => proc.accept(&mut hub.peer.link, leftovers),
+                // Completed run, unreachable hub: exit cleanly rather
+                // than report a transport failure just because the trace
+                // tail could not land.
+                Err(_) if linger.is_some() => return Ok(finish(proc.outcome, &hub.peer.link)),
                 Err(e) => {
-                    if trace_flushed {
-                        // Completed run, unreachable hub: exit cleanly
-                        // rather than report a transport failure just
-                        // because the trace tail could not land.
-                        outcome.link = stats_of(&link);
-                        return Ok(outcome);
-                    }
                     return Err(format!(
                         "place {}: link to hub {} is dead: {e}",
                         cfg.place, cfg.hub
-                    ));
+                    ))
                 }
             }
         }
@@ -1554,449 +995,189 @@ pub fn serve_entity(entity: &Spec, cfg: &ServeConfig) -> Result<ServeOutcome, St
         // wait — data from the hub (an Open, a Close, an ack the
         // shutdown linger awaits) ends it at once. Every iteration ends
         // with a flush, so no frames sit queued across the wait.
-        let mut dropped = false;
-        if let Some(ch) = chan.as_mut() {
-            wait.clear();
-            wait.push(Some(ch.conn.as_raw_fd()));
-            wait.wait_readable(if runnable.is_empty() {
-                cfg.poll
-            } else {
-                Duration::ZERO
-            })
-            .map_err(|e| format!("place {}: readiness wait failed: {e}", cfg.place))?;
-            inbuf.clear();
-            let polled = if wait.ready(0) {
-                poll_messages_into(&mut ch.conn, &mut ch.dec, &mut inbuf)
-            } else {
-                Ok(())
-            };
-            match polled {
-                Ok(()) => {
-                    if !inbuf.is_empty() {
-                        last_heard = Instant::now();
-                    }
-                    for (seq, m) in inbuf.drain(..) {
-                        if let Some(m) = link.accept(seq, m) {
-                            entity_handle(
-                                m,
-                                cfg,
-                                &mut backend,
-                                &occ,
-                                &mut sessions,
-                                &mut runnable,
-                                &mut outcome,
-                                &mut shutdown,
-                                &mut outbox,
-                                &mut obs,
-                            );
-                        }
-                    }
-                }
-                Err(_) => {
-                    link.note_fault();
-                    dropped = true;
-                }
-            }
-        }
-        if dropped {
-            drop_chan(&mut chan, &mut link);
+        let timeout = if proc.runnable() {
+            Duration::ZERO
+        } else {
+            cfg.poll
+        };
+        if !hub.read(&mut wait, timeout, &mut inbuf)? {
             continue;
         }
+        proc.accept(&mut hub.peer.link, inbuf.drain(..));
 
-        if shutdown && sessions.is_empty() {
-            // Ship the flight-recorder tail home: the hub absorbs these
-            // chunks into the merged causal log during its drain window.
-            // Trace frames are sequenced, so a send that dies mid-flush
-            // leaves the rest in the resend buffer — flush exactly once,
-            // then linger (reconnect + resume at the loop top) until the
-            // hub has acked everything or a bounded deadline passes.
-            if !trace_flushed {
-                trace_flushed = true;
-                flush_deadline = Instant::now() + cfg.dead_after.max(Duration::from_secs(2));
-                if let Some(reg) = &obs.registry {
-                    // Chunks batch-encode into one (usually) vectored
-                    // flush; a flush that dies leaves them sequenced in
-                    // the resend buffer for the reconnect below.
-                    for chunk in reg.drain_chunks(512) {
-                        let m = WireMsg::Trace { chunk };
-                        if chan.is_some() {
-                            link.queue(m);
-                        } else {
-                            link.buffer(m);
-                        }
-                    }
-                    let flush_err = match chan.as_mut() {
-                        Some(ch) => link.flush(&mut ch.conn).is_err(),
-                        None => false,
-                    };
-                    if flush_err {
-                        link.note_fault();
-                        drop_chan(&mut chan, &mut link);
-                    }
-                }
+        if proc.finished() {
+            // Ship the flight-recorder tail home once, then linger
+            // (reconnect + resume at the loop top) until the hub has
+            // acked everything or a bounded deadline passes.
+            if linger.is_none() {
+                linger = Some(Instant::now() + cfg.dead_after.max(Duration::from_secs(2)));
+                hub.ship_trace(proc.registry.as_ref());
             }
-            if link.unacked_len() == 0 || Instant::now() >= flush_deadline {
-                // Final cumulative ack so the hub can tell a clean exit
+            if hub.peer.link.unacked_len() == 0 || linger.is_some_and(|t| Instant::now() >= t) {
+                // Final cumulative ack, so the hub can tell a clean exit
                 // (everything delivered) from a dying link.
-                if let Some(ch) = chan.as_mut() {
-                    let _ = link.maybe_ack(&mut ch.conn, true);
-                }
-                outcome.link = stats_of(&link);
-                return Ok(outcome);
+                let _ = hub.peer.flush(true);
+                return Ok(finish(proc.outcome, &hub.peer.link));
             }
         }
 
-        // Interpret runnable sessions, collecting wire traffic.
-        let ids: Vec<u64> = runnable.iter().copied().collect();
-        runnable.clear();
-        for id in ids {
-            let Some(s) = sessions.get_mut(&id) else {
-                continue;
-            };
-            if step_session(
-                id,
-                s,
-                cfg,
-                &mut backend,
-                &occ,
-                &mut outcome,
-                &mut outbox,
-                obs.rec.as_ref(),
-            ) {
-                runnable.insert(id);
-            }
-        }
+        proc.step_runnable();
+        hub.send(proc.outbox.drain(..));
+        hub.tick();
+    }
+}
 
-        // Queue this sweep's traffic; everything leaves in one flush.
-        if chan.is_some() {
-            for m in outbox.drain(..) {
-                link.queue(m);
-                if link.wants_flush() {
-                    if let Some(ch) = chan.as_mut() {
-                        if link.flush(&mut ch.conn).is_err() {
-                            drop_chan(&mut chan, &mut link);
-                        }
+/// The entity's end of its link to the hub, with its reconnect policy.
+struct HubLink<'a> {
+    cfg: &'a ServeConfig,
+    peer: Peer,
+    backoff: Backoff,
+}
+
+impl<'a> HubLink<'a> {
+    fn new(cfg: &'a ServeConfig) -> HubLink<'a> {
+        let seed = fx_hash(&(cfg.seed, cfg.place));
+        HubLink {
+            cfg,
+            peer: Peer::new(cfg.batch_config()),
+            backoff: Backoff::new(cfg.backoff_base, cfg.backoff_cap, cfg.retry_budget, seed),
+        }
+    }
+
+    /// Connect + handshake + resume, retrying under the backoff schedule.
+    /// Returns the frames that arrived behind the hub's `Welcome`.
+    fn connect(&mut self, rec: Option<&Recorder>) -> Result<Vec<(u64, WireMsg)>, String> {
+        let link = &mut self.peer.link;
+        let resent_before = link.stats.frames_resent;
+        let (chan, leftovers) = loop {
+            match try_connect(self.cfg, link) {
+                Ok(ok) => break ok,
+                Err(e) => match self.backoff.next_delay() {
+                    Some(delay) => std::thread::sleep(delay),
+                    None => {
+                        return Err(format!(
+                            "retry budget ({}) exhausted; last error: {e}",
+                            self.cfg.retry_budget
+                        ))
                     }
-                }
+                },
             }
-        } else {
-            for m in outbox.drain(..) {
-                // Control replies (heartbeat acks) are ephemeral — only
-                // sequenced traffic is worth carrying across the gap.
-                if m.sequenced() {
-                    link.buffer(m);
-                }
+        };
+        self.backoff.reset();
+        // The entity's side of a resume: the hub cannot see what this end
+        // retransmitted, so the merged trace learns it from here. (A
+        // recorder exists only once a traced `Open` arrived, i.e. never
+        // on first join.) The peer is the hub, place 0; the event's own
+        // place (the recorder's) tells it from the hub's record of the
+        // same resume.
+        if let Some(rec) = rec {
+            let reconnects = link.stats.reconnects.saturating_sub(1);
+            rec.record_global(EventKind::LinkReconnect, 0, reconnects);
+            let resent = link.stats.frames_resent - resent_before;
+            if resent > 0 {
+                rec.record_global(EventKind::LinkRetransmit, 0, resent);
             }
         }
-        // Heartbeat + due acks + the sweep flush, then hub-death check.
-        if let Some(ch) = chan.as_mut() {
-            let now = Instant::now();
-            if now.duration_since(last_hb) >= cfg.heartbeat {
-                last_hb = now;
-                link.queue(WireMsg::Heartbeat {
-                    nonce: link.stats.frames_sent,
-                });
+        self.peer.chan = Some(chan);
+        self.peer.last_heard = Instant::now();
+        Ok(leftovers)
+    }
+
+    /// Wait up to `timeout` for the hub, then read what arrived into
+    /// `inbuf`. Returns `false` when the read found the connection dead
+    /// (it is dropped; the resume retransmits what `inbuf` would hold).
+    fn read(
+        &mut self,
+        wait: &mut Readiness,
+        timeout: Duration,
+        inbuf: &mut Vec<(u64, WireMsg)>,
+    ) -> Result<bool, String> {
+        inbuf.clear();
+        let Some(ch) = self.peer.chan.as_mut() else {
+            return Ok(true);
+        };
+        wait.clear();
+        wait.push(Some(ch.conn.as_raw_fd()));
+        wait.wait_readable(timeout)
+            .map_err(|e| format!("place {}: readiness wait failed: {e}", self.cfg.place))?;
+        if !wait.ready(0) {
+            return Ok(true);
+        }
+        if poll_messages_into(&mut ch.conn, &mut ch.dec, inbuf).is_err() {
+            inbuf.clear();
+            self.peer.close(true);
+            return Ok(false);
+        }
+        if !inbuf.is_empty() {
+            self.peer.last_heard = Instant::now();
+        }
+        Ok(true)
+    }
+
+    /// Queue frames for the hub; they leave in the iteration's flush, or
+    /// earlier once a batch is full.
+    fn send(&mut self, msgs: impl IntoIterator<Item = WireMsg>) {
+        for m in msgs {
+            if !self.peer.send(m) {
+                self.peer.close(false);
             }
-            let sent_ok =
-                link.maybe_ack(&mut ch.conn, false).is_ok() && link.flush(&mut ch.conn).is_ok();
-            if !sent_ok {
-                link.note_fault();
-                drop_chan(&mut chan, &mut link);
-                continue;
+        }
+    }
+
+    /// Ship the flight-recorder tail home: the hub absorbs these chunks
+    /// into the merged causal log during its drain window. Trace frames
+    /// are sequenced, so a flush that dies leaves them in the resend
+    /// buffer for the reconnect.
+    fn ship_trace(&mut self, registry: Option<&Arc<Registry>>) {
+        if let Some(reg) = registry {
+            let chunks = reg.drain_chunks(512);
+            self.send(chunks.into_iter().map(|chunk| WireMsg::Trace { chunk }));
+            if self.peer.flush(false).is_err() {
+                self.peer.close(true);
             }
-            if now.duration_since(last_heard) > cfg.dead_after {
-                link.note_fault();
-                drop_chan(&mut chan, &mut link);
-            }
+        }
+    }
+
+    /// End of a loop iteration: a heartbeat when due, any due ack, and
+    /// the flush; then the hub-death check.
+    fn tick(&mut self) {
+        let now = Instant::now();
+        self.peer.heartbeat(now, self.cfg.heartbeat);
+        if self.peer.flush(false).is_err()
+            || now.duration_since(self.peer.last_heard) > self.cfg.dead_after
+        {
+            self.peer.close(true);
         }
     }
 }
 
-/// Tear down the entity's connection, discarding any half-encoded batch
-/// (its sequenced frames survive in the resend ring for the resume).
-fn drop_chan(chan: &mut Option<Channel>, link: &mut Link) {
-    if let Some(ch) = chan.take() {
-        ch.conn.shutdown();
-    }
-    link.discard_batch();
-}
-
-fn stats_of(link: &Link) -> LinkReport {
-    report_of(link)
-}
-
-/// Connect + handshake + resume, retrying under the backoff schedule.
-fn entity_connect(
-    cfg: &ServeConfig,
-    link: &mut Link,
-    backoff: &mut Backoff,
-) -> Result<(Channel, Vec<(u64, WireMsg)>), String> {
-    loop {
-        match try_connect(cfg, link) {
-            Ok(ok) => return Ok(ok),
-            Err(e) => match backoff.next_delay() {
-                Some(delay) => std::thread::sleep(delay),
-                None => {
-                    return Err(format!(
-                        "retry budget ({}) exhausted; last error: {e}",
-                        cfg.retry_budget
-                    ))
-                }
-            },
-        }
-    }
-}
-
-fn try_connect(
-    cfg: &ServeConfig,
-    link: &mut Link,
-) -> Result<(Channel, Vec<(u64, WireMsg)>), String> {
-    let conn = cfg
-        .hub
-        .connect(cfg.connect_timeout)
-        .map_err(|e| e.to_string())?;
-    conn.set_read_timeout(Some(cfg.poll))
-        .map_err(|e| e.to_string())?;
-    conn.set_write_timeout(Some(cfg.dead_after))
-        .map_err(|e| e.to_string())?;
+/// One connect attempt: Hello, Welcome, and the link's resume.
+fn try_connect(cfg: &ServeConfig, link: &mut Link) -> io::Result<(Channel, Vec<(u64, WireMsg)>)> {
+    let conn = cfg.hub.connect(cfg.connect_timeout)?;
+    conn.set_read_timeout(Some(cfg.poll))?;
+    conn.set_write_timeout(Some(cfg.dead_after))?;
     let mut chan = Channel::new(conn);
     let hello = WireMsg::Hello {
         place: cfg.place,
         last_seen: link.last_delivered(),
     };
-    chan.conn
-        .write_all(&hello.encode(0))
-        .map_err(|e| e.to_string())?;
+    chan.conn.write_all(&hello.encode(0))?;
     // Wait for the Welcome; frames behind it in the same batch are
     // handed back for normal processing.
     let deadline = Instant::now() + cfg.dead_after;
     loop {
-        let mut batch = poll_messages(&mut chan.conn, &mut chan.dec)
-            .map_err(|e| e.to_string())?
-            .into_iter();
+        let mut batch = poll_messages(&mut chan.conn, &mut chan.dec)?.into_iter();
         if let Some((_, first)) = batch.next() {
             let WireMsg::Welcome { last_seen } = first else {
-                return Err(format!("expected Welcome, got {first:?}"));
+                return Err(io::Error::other(format!("expected Welcome, got {first:?}")));
             };
-            link.resume(&mut chan.conn, last_seen)
-                .map_err(|e| e.to_string())?;
+            link.resume(&mut chan.conn, last_seen)?;
             return Ok((chan, batch.collect()));
         }
         if Instant::now() >= deadline {
-            return Err("no Welcome within the handshake window".to_string());
+            return Err(io::Error::other("no Welcome within the handshake window"));
         }
     }
-}
-
-/// Dispatch one accepted hub message.
-#[allow(clippy::too_many_arguments)]
-fn entity_handle(
-    msg: WireMsg,
-    cfg: &ServeConfig,
-    backend: &mut Backend,
-    occ: &Arc<Mutex<OccTable>>,
-    sessions: &mut BTreeMap<u64, EntSession>,
-    runnable: &mut BTreeSet<u64>,
-    outcome: &mut ServeOutcome,
-    shutdown: &mut bool,
-    outbox: &mut Vec<WireMsg>,
-    obs: &mut EntObs,
-) {
-    match msg {
-        WireMsg::Open {
-            session,
-            seed,
-            max_steps,
-            trace,
-        } => {
-            obs.ensure(trace, cfg.place);
-            if let Some(rec) = &obs.rec {
-                rec.record(EventKind::SessionOpen, session, 0, seed, 0);
-            }
-            let rng = StdRng::seed_from_u64(fx_hash(&(seed, session, cfg.place)));
-            sessions.insert(
-                session,
-                EntSession {
-                    state: backend.init(),
-                    rng,
-                    inbox: BTreeMap::new(),
-                    seen: 0,
-                    consumed: 0,
-                    steps: 0,
-                    max_steps,
-                    parked: false,
-                    lc: 0,
-                },
-            );
-            runnable.insert(session);
-            outcome.sessions_opened += 1;
-        }
-        WireMsg::Data {
-            session,
-            mut msg,
-            path,
-            lc,
-        } => {
-            // Resolve the canonical site path to this process's local
-            // occurrence number; the sender's raw number is meaningless
-            // here.
-            let Some(s) = sessions.get_mut(&session) else {
-                return;
-            };
-            msg.occ = occ.lock().expect("occ table poisoned").resolve_path(&path);
-            s.seen += 1;
-            s.parked = false;
-            // Lamport merge: everything this session does next is causally
-            // after the sender's clock at send time.
-            s.lc = s.lc.max(lc);
-            s.inbox.entry(msg.from).or_default().push_back(msg);
-            runnable.insert(session);
-        }
-        WireMsg::Close { session, .. } => {
-            sessions.remove(&session);
-            runnable.remove(&session);
-            outcome.sessions_closed += 1;
-        }
-        WireMsg::Shutdown => {
-            *shutdown = true;
-        }
-        WireMsg::Heartbeat { nonce } => {
-            outbox.push(WireMsg::HeartbeatAck { nonce });
-        }
-        WireMsg::HeartbeatAck { .. } => {}
-        other => {
-            debug_assert!(false, "unexpected hub message {other:?}");
-        }
-    }
-}
-
-/// Step up to [`SLICE`] moves of one session. Returns `true` when
-/// the session still has work (reschedule), `false` when it parked (a
-/// `Status` was pushed) .
-#[allow(clippy::too_many_arguments)]
-fn step_session(
-    id: u64,
-    s: &mut EntSession,
-    cfg: &ServeConfig,
-    backend: &mut Backend,
-    occ: &Arc<Mutex<OccTable>>,
-    outcome: &mut ServeOutcome,
-    outbox: &mut Vec<WireMsg>,
-    rec: Option<&Recorder>,
-) -> bool {
-    for _ in 0..SLICE {
-        let n_offers = backend.offers(&s.state);
-        let mut enabled: Vec<usize> = Vec::with_capacity(n_offers);
-        let mut has_delta = false;
-        for i in 0..n_offers {
-            match backend.offer(i) {
-                OfferView::I => enabled.push(i),
-                OfferView::Prim { name, place } => {
-                    if !cfg
-                        .refuse
-                        .iter()
-                        .any(|(n, p)| n.as_str() == name && *p == place)
-                    {
-                        enabled.push(i);
-                    }
-                }
-                OfferView::Send { .. } => enabled.push(i),
-                OfferView::Recv { from, msg, occ, .. } => {
-                    let head_matches = s
-                        .inbox
-                        .get(&from)
-                        .and_then(|q| q.front())
-                        .is_some_and(|m| m.id == *msg && m.occ == occ);
-                    if head_matches {
-                        enabled.push(i);
-                    }
-                }
-                OfferView::Delta => has_delta = true,
-            }
-        }
-        if enabled.is_empty() || s.steps >= s.max_steps {
-            park(id, s, has_delta && s.steps < s.max_steps, outbox);
-            return false;
-        }
-        let k = if enabled.len() == 1 {
-            0
-        } else {
-            s.rng.gen_range(0..enabled.len())
-        };
-        let label = backend.label(enabled[k]);
-        s.steps += 1;
-        s.lc += 1;
-        match label {
-            Label::I | Label::Delta => {}
-            Label::Prim { name, place } => {
-                outcome.primitives += 1;
-                if let Some(rec) = rec {
-                    rec.record_named(EventKind::Prim, id, s.lc, &name, place as u64);
-                }
-                outbox.push(WireMsg::Prim {
-                    session: id,
-                    name,
-                    place,
-                    lc: s.lc,
-                });
-            }
-            Label::Send {
-                to,
-                msg,
-                occ: o,
-                kind,
-            } => {
-                let path = occ
-                    .lock()
-                    .expect("occ table poisoned")
-                    .path_of(o)
-                    .unwrap_or_default();
-                let m = Msg {
-                    from: cfg.place,
-                    to,
-                    id: msg,
-                    occ: o,
-                    kind,
-                };
-                if let Some(rec) = rec {
-                    let (a, b) = pack_msg_event(rec, &m.id, m.occ, m.from, m.to);
-                    rec.record(EventKind::MediumSend, id, s.lc, a, b);
-                }
-                outbox.push(WireMsg::Data {
-                    session: id,
-                    msg: m,
-                    path,
-                    lc: s.lc,
-                });
-            }
-            Label::Recv { from, .. } => {
-                let q = s.inbox.get_mut(&from).expect("classified enabled");
-                let m = q.pop_front().expect("classified enabled");
-                if let Some(rec) = rec {
-                    let (a, b) = pack_msg_event(rec, &m.id, m.occ, m.from, cfg.place);
-                    rec.record(EventKind::MediumRecv, id, s.lc, a, b);
-                }
-                s.consumed += 1;
-            }
-        }
-        backend.step(&mut s.state, enabled[k]);
-    }
-    true
-}
-
-/// Park a session: report a [`WireMsg::Status`] so the hub can count
-/// quiescence.
-fn park(id: u64, s: &mut EntSession, vote: bool, outbox: &mut Vec<WireMsg>) {
-    s.parked = true;
-    outbox.push(WireMsg::Status {
-        session: id,
-        seen: s.seen,
-        consumed: s.consumed,
-        inbox_empty: s.inbox.values().all(|q| q.is_empty()),
-        vote,
-        blocked: !vote,
-        steps: s.steps,
-    });
 }
 
 #[cfg(test)]

@@ -141,6 +141,7 @@ fn replay_conformance(service: &Spec, trace: &[(String, PlaceId)]) -> Replay {
     (None, mon.may_terminate())
 }
 
+#[derive(Default)]
 pub(crate) struct Tally {
     pub(crate) conforming: usize,
     pub(crate) terminated: usize,
@@ -154,18 +155,81 @@ pub(crate) struct Tally {
 }
 
 impl Tally {
-    pub(crate) fn new() -> Tally {
-        Tally {
-            conforming: 0,
-            terminated: 0,
-            deadlocked: 0,
-            step_limited: 0,
-            aborted: 0,
-            violations: Vec::new(),
-            per_kind: BTreeMap::new(),
-            per_link: BTreeMap::new(),
-            reports: Vec::new(),
+    /// The report every engine shares: verdict counts from the tally,
+    /// counters and histograms from `metrics`, wall time since
+    /// `started`. Engines that measure a field differently override it
+    /// with struct-update syntax.
+    pub(crate) fn into_report(
+        self,
+        engine: &'static str,
+        backend: &'static str,
+        cfg: &RuntimeConfig,
+        metrics: &Metrics,
+        started: Instant,
+    ) -> RuntimeReport {
+        let wall_s = started.elapsed().as_secs_f64();
+        let load = |c: &std::sync::atomic::AtomicUsize| c.load(Ordering::Relaxed);
+        RuntimeReport {
+            engine,
+            backend,
+            schema_version: crate::metrics::REPORT_SCHEMA_VERSION,
+            config: cfg.clone(),
+            sessions: self.reports.len(),
+            conforming: self.conforming,
+            terminated: self.terminated,
+            deadlocked: self.deadlocked,
+            step_limited: self.step_limited,
+            aborted: self.aborted,
+            violations: self.violations,
+            primitives: load(&metrics.primitives),
+            messages: load(&metrics.messages_sent),
+            delivered: load(&metrics.messages_delivered),
+            messages_per_kind: self.per_kind,
+            max_queue_depth: load(&metrics.max_queue_depth),
+            frames_lost: load(&metrics.frames_lost),
+            retransmissions: load(&metrics.retransmissions),
+            per_link: self.per_link,
+            transport_events: Vec::new(),
+            wall_s,
+            sessions_per_sec: if wall_s > 0.0 {
+                self.reports.len() as f64 / wall_s
+            } else {
+                0.0
+            },
+            session_latency: metrics.session_latency.summary(),
+            stages: metrics.stages.summaries(),
+            stalls: Vec::new(),
+            gauges: GaugeSnapshot::capture(metrics),
+            per_prim: metrics
+                .per_prim
+                .iter()
+                .map(|(k, h)| (k.clone(), h.summary()))
+                .collect(),
+            phases: Vec::new(),
+            trace_meta: None,
+            abort_tails: BTreeMap::new(),
+            reports: self.reports,
         }
+    }
+
+    /// Record a session's first violation: the primitive, its place,
+    /// and its index in the session's primitive `trace`.
+    pub(crate) fn violation(
+        &mut self,
+        session: u64,
+        seed: u64,
+        (primitive, place, at): (&str, PlaceId, usize),
+        trace: &[(String, PlaceId)],
+    ) {
+        self.violations.push(ViolationRecord {
+            session,
+            seed,
+            primitive: primitive.to_string(),
+            place,
+            at,
+            trace: trace.to_vec(),
+            tail: Vec::new(),
+        });
     }
 
     pub(crate) fn absorb(&mut self, rep: SessionReport) {
@@ -227,7 +291,7 @@ fn run_concurrent(
     let metrics = Arc::new(Metrics::for_service(&d.service));
     let stalls = Arc::new(StallTracker::new());
 
-    let mut tally = Tally::new();
+    let mut tally = Tally::default();
     let mut replay_cache = ReplayCache::default();
     std::thread::scope(|scope| {
         for (idx, (place, spec)) in d.entities.iter().enumerate() {
@@ -324,57 +388,9 @@ fn run_concurrent(
         }
     });
 
-    let wall_s = started.elapsed().as_secs_f64();
     RuntimeReport {
-        engine: "concurrent",
-        backend: backend_desc(lowered),
-        schema_version: crate::metrics::REPORT_SCHEMA_VERSION,
-        config: cfg.clone(),
-        sessions: tally.reports.len(),
-        conforming: tally.conforming,
-        terminated: tally.terminated,
-        deadlocked: tally.deadlocked,
-        step_limited: tally.step_limited,
-        aborted: tally.aborted,
-        violations: std::mem::take(&mut tally.violations),
-        primitives: metrics.primitives.load(Ordering::Relaxed),
-        messages: metrics.messages_sent.load(Ordering::Relaxed),
-        delivered: metrics.messages_delivered.load(Ordering::Relaxed),
-        messages_per_kind: tally.per_kind,
-        max_queue_depth: metrics.max_queue_depth.load(Ordering::Relaxed),
-        frames_lost: metrics.frames_lost.load(Ordering::Relaxed),
-        retransmissions: metrics.retransmissions.load(Ordering::Relaxed),
-        per_link: std::mem::take(&mut tally.per_link),
-        transport_events: Vec::new(),
-        wall_s,
-        sessions_per_sec: if wall_s > 0.0 {
-            tally.reports.len() as f64 / wall_s
-        } else {
-            0.0
-        },
-        session_latency: metrics.session_latency.summary(),
-        stages: metrics.stages.summaries(),
         stalls: stalls.take_records(),
-        gauges: GaugeSnapshot::capture(&metrics),
-        per_prim: metrics
-            .per_prim
-            .iter()
-            .map(|(k, h)| (k.clone(), h.summary()))
-            .collect(),
-        phases: Vec::new(),
-        trace_meta: None,
-        abort_tails: BTreeMap::new(),
-        reports: tally.reports,
-    }
-}
-
-/// [`obs::EventKind::SessionClose`] end code for a session verdict.
-fn end_code(end: SessionEnd) -> u64 {
-    match end {
-        SessionEnd::Terminated => 0,
-        SessionEnd::Deadlock => 1,
-        SessionEnd::StepLimit => 2,
-        SessionEnd::Aborted => 3,
+        ..tally.into_report("concurrent", backend_desc(lowered), cfg, &metrics, started)
     }
 }
 
@@ -440,22 +456,14 @@ fn finalize_session(
                 *place as u64,
             );
         }
-        tally.violations.push(ViolationRecord {
-            session: core.id,
-            seed: core.seed,
-            primitive: name.clone(),
-            place: *place,
-            at: *at,
-            trace: core.trace.clone(),
-            tail: Vec::new(),
-        });
+        tally.violation(core.id, core.seed, (name, *place, *at), &core.trace);
     }
     if let Some(rec) = rec {
         rec.record(
             EventKind::SessionClose,
             core.id,
             core.steps as u64,
-            end_code(end),
+            end.code().into(),
             core.steps as u64,
         );
         if lost + retx > 0 {
@@ -535,13 +543,8 @@ fn run_deterministic(
     // each session's primitive trace into the ring (lc = trace index + 1,
     // matching the concurrent engine's per-session step clocks).
     let rec = registry.map(|r| r.recorder(0));
-    let mut tally = Tally::new();
-    let mut primitives = 0usize;
-    let mut messages = 0usize;
-    let mut delivered = 0usize;
-    let mut max_queue_depth = 0usize;
-    let mut frames_lost = 0usize;
-    let mut retransmissions = 0usize;
+    let mut tally = Tally::default();
+    let add = |c: &std::sync::atomic::AtomicUsize, v: usize| c.fetch_add(v, Ordering::Relaxed);
 
     for k in 0..cfg.sessions {
         let t0 = Instant::now();
@@ -560,17 +563,18 @@ fn run_deterministic(
         };
         metrics.stages.record(&stages);
 
-        primitives += outcome.metrics.primitives;
-        messages += outcome.metrics.messages;
-        delivered += outcome
-            .metrics
-            .per_place
-            .values()
-            .map(|l| l.received)
-            .sum::<usize>();
-        max_queue_depth = max_queue_depth.max(outcome.metrics.max_queue_depth);
-        frames_lost += outcome.metrics.frames_lost;
-        retransmissions += outcome.metrics.retransmissions;
+        let m = &outcome.metrics;
+        add(&metrics.primitives, m.primitives);
+        add(&metrics.messages_sent, m.messages);
+        add(
+            &metrics.messages_delivered,
+            m.per_place.values().map(|l| l.received).sum(),
+        );
+        metrics
+            .max_queue_depth
+            .fetch_max(m.max_queue_depth, Ordering::Relaxed);
+        add(&metrics.frames_lost, m.frames_lost);
+        add(&metrics.retransmissions, m.retransmissions);
         for (kind, c) in &outcome.metrics.messages_per_kind {
             *tally.per_kind.entry(*kind).or_default() += c;
         }
@@ -613,20 +617,20 @@ fn run_deterministic(
                 EventKind::SessionClose,
                 k as u64,
                 outcome.trace.len() as u64,
-                end_code(end),
+                end.code().into(),
                 outcome.metrics.steps as u64,
             );
         }
         if let Some((name, place)) = &violation {
-            tally.violations.push(ViolationRecord {
-                session: k as u64,
-                seed: cfg.session_seed(k),
-                primitive: name.clone(),
-                place: *place,
-                at: outcome.trace.len().saturating_sub(1),
-                trace: outcome.trace.clone(),
-                tail: Vec::new(),
-            });
+            // A synthesized refusal points past the trace, as in the
+            // concurrent engine.
+            let at = outcome.violation_at.unwrap_or(outcome.trace.len());
+            tally.violation(
+                k as u64,
+                cfg.session_seed(k),
+                (name, *place, at),
+                &outcome.trace,
+            );
         }
         tally.absorb(SessionReport {
             id: k as u64,
@@ -647,46 +651,12 @@ fn run_deterministic(
         });
     }
 
-    let wall_s = started.elapsed().as_secs_f64();
     RuntimeReport {
-        engine: "deterministic",
-        backend,
-        schema_version: crate::metrics::REPORT_SCHEMA_VERSION,
-        config: cfg.clone(),
-        sessions: tally.reports.len(),
-        conforming: tally.conforming,
-        terminated: tally.terminated,
-        deadlocked: tally.deadlocked,
-        step_limited: tally.step_limited,
-        aborted: tally.aborted,
-        violations: std::mem::take(&mut tally.violations),
-        primitives,
-        messages,
-        delivered,
-        messages_per_kind: tally.per_kind,
-        max_queue_depth,
-        frames_lost,
-        retransmissions,
-        per_link: BTreeMap::new(),
-        transport_events: Vec::new(),
-        wall_s,
-        sessions_per_sec: if wall_s > 0.0 {
-            tally.reports.len() as f64 / wall_s
-        } else {
-            0.0
-        },
-        session_latency: metrics.session_latency.summary(),
-        stages: metrics.stages.summaries(),
-        // The sequential engine cannot stall (no threads to wait on) and
-        // has no queues to gauge.
-        stalls: Vec::new(),
-        gauges: GaugeSnapshot::default(),
         // Per-primitive wall-latency is an inter-thread measurement; the
-        // sequential engine reports session-level latency only.
+        // sequential engine reports session-level latency only. (Nor can
+        // it stall, or gauge queues: its stall and gauge fields stay
+        // empty.)
         per_prim: BTreeMap::new(),
-        phases: Vec::new(),
-        trace_meta: None,
-        abort_tails: BTreeMap::new(),
-        reports: tally.reports,
+        ..tally.into_report("deterministic", backend, cfg, &metrics, started)
     }
 }

@@ -36,6 +36,30 @@ pub enum SessionEnd {
     Aborted,
 }
 
+impl SessionEnd {
+    /// The outcome's one-byte code: the `end` field of a wire `Close`
+    /// and the end code of a recorded `SessionClose` event.
+    pub fn code(self) -> u8 {
+        match self {
+            SessionEnd::Terminated => 0,
+            SessionEnd::Deadlock => 1,
+            SessionEnd::StepLimit => 2,
+            SessionEnd::Aborted => 3,
+        }
+    }
+
+    /// Decode [`SessionEnd::code`]. Unknown codes read as `Aborted` —
+    /// the conservative outcome.
+    pub fn from_code(code: u8) -> SessionEnd {
+        match code {
+            0 => SessionEnd::Terminated,
+            1 => SessionEnd::Deadlock,
+            2 => SessionEnd::StepLimit,
+            _ => SessionEnd::Aborted,
+        }
+    }
+}
+
 /// The session's channels: the paper's reliable medium, or one ARQ fault
 /// link per directed channel.
 #[derive(Debug)]

@@ -254,28 +254,49 @@ fn disable_deviation_is_flagged_not_hung() {
 }
 
 /// Sessions are independent: per-session violation records carry the
-/// session id and the offending trace (checked with a sabotaged entity).
+/// session id and the offending trace (checked with sabotaged entities,
+/// on both engines). `at` indexes the violating primitive even when the
+/// run goes on after it.
 #[test]
 fn violations_carry_session_id_and_trace() {
-    let derived = Pipeline::load("SPEC a1; b2; c1; exit ENDSPEC")
-        .unwrap()
-        .check()
-        .unwrap()
-        .derive()
-        .unwrap();
-    let mut d = derived.into_derivation();
-    // Sabotage: place 1 announces `c` where the service expects `a` first.
-    let (_, spec1) = &mut d.entities[0];
-    *spec1 = lotos::parser::parse_spec("SPEC c1; exit ENDSPEC").unwrap();
-    let cfg = RuntimeConfig::new().sessions(3).threads(4).seed(5);
-    let report = runtime::run(&d, &cfg);
-    assert!(!report.passed());
-    assert!(!report.violations.is_empty());
-    for v in &report.violations {
-        assert!(v.session < 3);
-        assert_eq!(v.primitive, "c");
-        assert_eq!(v.place, 1);
-        assert!(!v.trace.is_empty());
-        assert_eq!(v.trace[v.at], ("c".to_string(), 1));
+    // (service, sabotaged place-1 entity, expected violating primitive)
+    let cases = [
+        // Place 1 announces `c` where the service expects `a` first.
+        (
+            "SPEC a1; b2; c1; exit ENDSPEC",
+            "SPEC c1; exit ENDSPEC",
+            "c",
+        ),
+        // Place 1 swaps its two primitives and runs on after `b`.
+        (
+            "SPEC a1; b1; exit ENDSPEC",
+            "SPEC b1; a1; exit ENDSPEC",
+            "b",
+        ),
+    ];
+    for (service, sabotage, prim) in cases {
+        let derived = Pipeline::load(service)
+            .unwrap()
+            .check()
+            .unwrap()
+            .derive()
+            .unwrap();
+        let mut d = derived.into_derivation();
+        let (_, spec1) = &mut d.entities[0];
+        *spec1 = lotos::parser::parse_spec(sabotage).unwrap();
+        for threads in [1, 4] {
+            let cfg = RuntimeConfig::new().sessions(3).threads(threads).seed(5);
+            let report = runtime::run(&d, &cfg);
+            let case = format!("{service} with {sabotage}, threads({threads})");
+            assert!(!report.passed(), "{case}");
+            assert!(!report.violations.is_empty(), "{case}");
+            for v in &report.violations {
+                assert!(v.session < 3, "{case}");
+                assert_eq!(v.primitive, prim, "{case}");
+                assert_eq!(v.place, 1, "{case}");
+                assert!(!v.trace.is_empty(), "{case}");
+                assert_eq!(v.trace[v.at], (prim.to_string(), 1), "{case}: {v:?}");
+            }
+        }
     }
 }

@@ -457,3 +457,94 @@ fn violations_carry_session_id_and_trace() {
         assert_eq!(v.trace[v.at], ("c".to_string(), 1));
     }
 }
+
+/// A connection that never sends its `Hello` must not stall the hub: it
+/// waits in the readiness set while every session runs at full speed,
+/// and is given up with a diagnostic once the handshake timeout passes.
+#[test]
+fn silent_connection_does_not_stall_the_hub() {
+    let watchdog = Watchdog::arm(
+        "silent_connection_does_not_stall_the_hub",
+        Duration::from_secs(120),
+    );
+    watchdog.enter("silent connection 30 ms in".to_string());
+    let src = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../specs/transport2.lotos"
+    ))
+    .unwrap();
+    let derived = Pipeline::load(&src)
+        .unwrap()
+        .check()
+        .unwrap()
+        .derive()
+        .unwrap();
+    let d = derived.derivation();
+    // One session in flight at a time: the run lasts well past the
+    // handshake timeout, and the timeout is longer than the latency
+    // bound below, so a hub that waited on the silent peer would fail it.
+    let handshake_timeout = Duration::from_millis(600);
+    let dcfg = DistributedConfig {
+        handshake_timeout,
+        session_window: 1,
+        ..DistributedConfig::new(Addr::Tcp("127.0.0.1:0".to_string()))
+    };
+    let listener = dcfg.listen.listen().unwrap();
+    let hub_addr = listener.local_addr().unwrap();
+    let Addr::Tcp(tcp_addr) = hub_addr.clone() else {
+        unreachable!("TCP listener")
+    };
+    let cfg = RuntimeConfig::new().sessions(6000).threads(2).seed(7);
+    let handles: Vec<_> = d
+        .entities
+        .iter()
+        .map(|(p, spec)| {
+            let scfg = ServeConfig::new(hub_addr.clone(), *p);
+            let spec = spec.clone();
+            std::thread::spawn(move || serve_entity(&spec, &scfg))
+        })
+        .collect();
+    let (hold_tx, hold_rx) = std::sync::mpsc::channel::<()>();
+    let silent = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(30));
+        let conn = std::net::TcpStream::connect(tcp_addr).expect("silent connect");
+        // Hold the connection open, never writing, until the run is over.
+        let _ = hold_rx.recv();
+        drop(conn);
+    });
+    let started = Instant::now();
+    let report = run_hub_on(d, &cfg, &dcfg, listener).expect("hub run");
+    let wall = started.elapsed();
+    drop(hold_tx);
+    silent.join().unwrap();
+    for h in handles {
+        h.join().expect("entity thread").expect("entity outcome");
+    }
+    assert!(report.passed(), "events: {:?}", report.transport_events);
+    assert!(
+        !report
+            .transport_events
+            .iter()
+            .any(|e| e.contains("reconnected")),
+        "a link was torn down: {:?}",
+        report.transport_events
+    );
+    let slowest = report.reports.iter().map(|r| r.latency_us).max().unwrap();
+    assert!(
+        slowest < 500_000,
+        "slowest session took {slowest} us; events: {:?}",
+        report.transport_events
+    );
+    assert!(
+        wall > handshake_timeout + Duration::from_millis(100),
+        "the run ({wall:?}) ended before the handshake timeout could pass"
+    );
+    assert!(
+        report
+            .transport_events
+            .iter()
+            .any(|e| e.starts_with("handshake failed")),
+        "no handshake diagnostic: {:?}",
+        report.transport_events
+    );
+}

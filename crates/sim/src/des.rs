@@ -285,6 +285,9 @@ pub struct SimOutcome {
     pub result: SimResult,
     /// The first service violation the monitor saw, if any.
     pub violation: Option<(String, u8)>,
+    /// Index of that violation in `trace`: the run keeps stepping after
+    /// the monitor latches, so it need not be the last primitive.
+    pub violation_at: Option<usize>,
     /// Whether the service could have terminated where the run did
     /// (meaningful when `result == Terminated`).
     pub service_could_terminate: bool,
@@ -703,6 +706,7 @@ impl Simulator {
             metrics,
             result,
             violation: self.monitor.violation().cloned(),
+            violation_at: self.monitor.violation_at(),
             service_could_terminate,
         }
     }

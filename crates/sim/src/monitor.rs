@@ -89,6 +89,12 @@ impl ServiceMonitor {
         self.violated.as_ref()
     }
 
+    /// Index of the first disallowed primitive in the observed sequence:
+    /// the monitor records it, then latches and observes nothing more.
+    pub fn violation_at(&self) -> Option<usize> {
+        self.violated.as_ref().map(|_| self.observed.len() - 1)
+    }
+
     /// The primitive sequence observed so far.
     pub fn observed(&self) -> &[(String, u8)] {
         &self.observed
@@ -120,6 +126,7 @@ mod tests {
         assert_eq!(m.violation(), Some(&("b".to_string(), 2)));
         // latched: nothing accepted afterwards
         assert!(!m.step("a", 1));
+        assert_eq!(m.violation_at(), Some(0));
     }
 
     #[test]
