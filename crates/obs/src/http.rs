@@ -41,7 +41,7 @@ impl MetricsServer {
                             let _ = conn.set_read_timeout(Some(Duration::from_millis(500)));
                             let _ = conn.set_nonblocking(false);
                             let mut req = [0u8; 1024];
-                            let n = conn.read(&mut req).unwrap_or(0);
+                            let n = read_head(&mut conn, &mut req);
                             let (status, ctype, body) =
                                 respond(&String::from_utf8_lossy(&req[..n]), &routes);
                             let _ = write!(
@@ -72,6 +72,22 @@ impl MetricsServer {
             let _ = h.join();
         }
     }
+}
+
+/// Read a request head into `buf` until the blank line that ends it, the
+/// buffer fills, the peer closes, or the read timeout fires. A client may
+/// send one request in several writes; answering the first fragment and
+/// closing with bytes unread would reset the connection. Returns the
+/// number of bytes read.
+fn read_head(conn: &mut impl Read, buf: &mut [u8]) -> usize {
+    let mut n = 0;
+    while n < buf.len() && !buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
+        match conn.read(&mut buf[n..]) {
+            Ok(0) | Err(_) => break,
+            Ok(k) => n += k,
+        }
+    }
+    n
 }
 
 fn respond(req: &str, routes: &[(String, Handler)]) -> (&'static str, String, String) {
@@ -134,6 +150,26 @@ mod tests {
         assert!(ok.ends_with("x 1\n"));
         let missing = get(server.addr, "/nope");
         assert!(missing.starts_with("HTTP/1.1 404"));
+        server.stop();
+    }
+
+    /// A request split across writes is answered from the whole head,
+    /// not from its first fragment.
+    #[test]
+    fn split_request_is_read_to_the_blank_line() {
+        let routes: Vec<(String, Handler)> = vec![(
+            "/metrics".to_string(),
+            Arc::new(|| ("text/plain".to_string(), "x 1\n".to_string())),
+        )];
+        let server = MetricsServer::spawn("127.0.0.1:0", routes).unwrap();
+        let mut conn = TcpStream::connect(server.addr).unwrap();
+        conn.write_all(b"GET /met").unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        conn.write_all(b"rics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        let mut out = String::new();
+        conn.read_to_string(&mut out).unwrap();
+        assert!(out.starts_with("HTTP/1.1 200 OK"), "{out}");
+        assert!(out.ends_with("x 1\n"), "{out}");
         server.stop();
     }
 

@@ -4,7 +4,7 @@
 //! module carries them over the link.
 
 use super::{ServeConfig, ServeOutcome};
-use crate::compiled::{lower_for, make_backend, BState, Backend, EntityBackend, OfferView};
+use crate::compiled::lower_for;
 use crate::entity::pack_msg_event;
 use lotos::ast::Spec;
 use lotos::place::PlaceId;
@@ -12,6 +12,7 @@ use medium::Msg;
 use obs::{EventKind, Recorder, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use semantics::backend::{make_backend, BState, Backend, EntityBackend, OfferView};
 use semantics::engine::TermArena;
 use semantics::hash::fx_hash;
 use semantics::term::{Label, OccTable};
@@ -211,28 +212,16 @@ impl<'a> EntityProc<'a> {
         let place = self.cfg.place;
         for _ in 0..SLICE {
             let n_offers = backend.offers(&s.state);
-            let mut enabled: Vec<usize> = Vec::with_capacity(n_offers);
-            let mut has_delta = false;
-            for i in 0..n_offers {
-                match backend.offer(i) {
-                    OfferView::I | OfferView::Send { .. } => enabled.push(i),
-                    OfferView::Prim { name, place } => {
-                        let refuse = &self.cfg.refuse;
-                        if !refuse.iter().any(|(n, p)| n == name && *p == place) {
-                            enabled.push(i);
-                        }
-                    }
-                    OfferView::Recv { from, msg, occ, .. } => {
-                        let head = s.inbox.get(&from).and_then(|q| q.front());
-                        if head.is_some_and(|m| m.id == *msg && m.occ == occ) {
-                            enabled.push(i);
-                        }
-                    }
-                    OfferView::Delta => has_delta = true,
+            let row = backend.classify(n_offers, &self.cfg.refuse, |offer| match *offer {
+                OfferView::Recv { from, msg, occ, .. } => {
+                    let head = s.inbox.get(&from).and_then(|q| q.front());
+                    head.is_some_and(|m| m.id == *msg && m.occ == occ)
                 }
-            }
+                _ => true,
+            });
+            let enabled = row.enabled;
             if enabled.is_empty() || s.steps >= s.max_steps {
-                s.park(id, has_delta && s.steps < s.max_steps, &mut self.outbox);
+                s.park(id, row.delta && s.steps < s.max_steps, &mut self.outbox);
                 return false;
             }
             let k = if enabled.len() == 1 {

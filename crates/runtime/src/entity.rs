@@ -27,7 +27,6 @@
 //!   ([`medium::Capacity::Bounded`] semantics) — the thread never parks
 //!   on one session's backpressure; it works other sessions.
 
-use crate::compiled::{BState, Backend, EntityBackend, OfferView};
 use crate::config::RuntimeConfig;
 use crate::metrics::Metrics;
 use crate::session::{SessionEnd, SessionSlot};
@@ -37,6 +36,7 @@ use medium::Msg;
 use obs::{EventKind, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use semantics::backend::{BState, Backend, EntityBackend, OfferView};
 use semantics::hash::{fx_hash, FxHashMap};
 use semantics::term::Label;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -199,7 +199,7 @@ pub struct EntityWorker {
     /// Total number of entities.
     pub n: usize,
     /// How this entity's behaviour is stepped: interpreted terms or a
-    /// compiled transition table (see [`crate::compiled`]).
+    /// compiled transition table (see [`semantics::backend`]).
     pub backend: Backend,
     pub cfg: RuntimeConfig,
     /// Notifiers of *all* entities, indexed like the entity list.
@@ -264,8 +264,6 @@ impl EntityWorker {
         for _ in 0..SLICE {
             let n_offers = self.backend.offers(&local.state);
             let id;
-            let enabled: Vec<usize>;
-            let mut vote_available = false;
             {
                 let mut core = local.slot.core.lock().expect("session poisoned");
                 // Stage attribution: lock-held time of this move counts
@@ -280,52 +278,26 @@ impl EntityWorker {
 
                 // Classify which of the backend's offered transitions are
                 // enabled in the current medium state.
-                let mut has_delta = false;
-                let mut refused: Option<(String, PlaceId)> = None;
-                let mut en = Vec::with_capacity(n_offers);
-                for i in 0..n_offers {
-                    match self.backend.offer(i) {
-                        OfferView::I => en.push(i),
-                        OfferView::Prim { name, place } => {
-                            if !self
-                                .cfg
-                                .refuse
-                                .iter()
-                                .any(|(n, p)| n == name && *p == place)
-                            {
-                                en.push(i);
-                            } else if refused.is_none() {
-                                refused = Some((name.to_string(), place));
-                            }
-                        }
-                        OfferView::Send { to, .. } => {
-                            if core.can_send(self.place, to) {
-                                en.push(i);
-                            }
-                        }
+                let row = self
+                    .backend
+                    .classify(n_offers, &self.cfg.refuse, |offer| match *offer {
+                        OfferView::Send { to, .. } => core.can_send(self.place, to),
                         OfferView::Recv { from, msg, occ, .. } => {
-                            if core.can_receive(from, self.place, msg, occ) {
-                                en.push(i);
-                            }
+                            core.can_receive(from, self.place, msg, occ)
                         }
-                        OfferView::Delta => {
-                            has_delta = true;
-                            if !core.has_vote(self.idx) {
-                                vote_available = true;
-                            }
-                        }
-                    }
-                }
+                        _ => true,
+                    });
+                let (enabled, has_delta) = (row.enabled, row.delta);
+                let vote_available = has_delta && !core.has_vote(self.idx);
                 if !has_delta && core.has_vote(self.idx) {
                     core.clear_vote(self.idx);
                 }
-                enabled = en;
 
                 if enabled.is_empty() && !vote_available {
                     // Blocked against a refused offer: remember it so a
                     // later deadlock verdict can name the primitive the
                     // conformance monitor never got to see.
-                    if let Some((name, place)) = refused {
+                    if let Some((name, place)) = row.refused {
                         if core.refused_offer.is_none() {
                             if let Some(rec) = &self.rec {
                                 rec.record_named(

@@ -10,10 +10,14 @@
 //!   checked at the multiplexer, not inside entity threads).
 //! * **Deterministic** (`threads <= 1`): each session is one seeded run
 //!   of the discrete-event simulator ([`sim::des`]) — bit-reproducible,
-//!   and byte-identical to `protogen simulate` for the same seed. This is
-//!   the reference engine the concurrent one is tested against.
+//!   and byte-identical to `protogen simulate` for the same seed. It
+//!   steps the same per-entity backend mix as the concurrent engine
+//!   (tables where [`lower_for`] lowered, interpretation elsewhere) with
+//!   the same offer classifier ([`semantics::backend`]); every backend
+//!   offers rows in the same order, so the mix never changes a trace.
+//!   This is the reference engine the concurrent one is tested against.
 
-use crate::compiled::{lower_for, make_backend};
+use crate::compiled::lower_for;
 use crate::config::{FaultProfile, RuntimeConfig};
 use crate::entity::{CompletionQueue, EntityWorker, Notifier};
 use crate::metrics::{
@@ -27,11 +31,12 @@ use lotos::event::SyncKind;
 use lotos::place::PlaceId;
 use obs::{EventKind, Recorder, Registry};
 use protogen::derive::Derivation;
+use semantics::backend::make_backend;
 use semantics::engine::TermArena;
 use semantics::hash::FxHashMap;
 use semantics::lower::CompiledEntity;
 use semantics::term::OccTable;
-use sim::des::{LinkConfig, SimConfig, SimResult};
+use sim::des::{LinkConfig, SimConfig, SimResult, Simulator};
 use sim::monitor::ServiceMonitor;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -73,7 +78,8 @@ pub fn try_run(d: &Derivation, cfg: &RuntimeConfig) -> Result<RuntimeReport, Str
     });
     let lowered = lower_for(&d.entities, cfg.backend)?;
     let mut report = if cfg.threads <= 1 {
-        run_deterministic(d, cfg, registry.as_ref(), &lowered)
+        let registry = registry.as_ref();
+        sim::des::on_big_stack(|| run_deterministic(d, cfg, registry, &lowered))
     } else {
         run_concurrent(d, cfg, registry.as_ref(), &lowered)
     };
@@ -529,16 +535,6 @@ fn run_deterministic(
 ) -> RuntimeReport {
     let started = Instant::now();
     let metrics = Metrics::for_service(&d.service);
-    // The DES steps compiled tables only when *every* entity lowered —
-    // a per-entity mix would still pay the interpreter's engine setup
-    // per session, which is what compiled stepping is here to avoid.
-    let tables: Option<Vec<Arc<CompiledEntity>>> =
-        lowered.iter().cloned().collect::<Option<Vec<_>>>();
-    let backend = if tables.is_some() {
-        "compiled"
-    } else {
-        "interpreted"
-    };
     // The DES engine is single-threaded: one recorder at place 0 replays
     // each session's primitive trace into the ring (lc = trace index + 1,
     // matching the concurrent engine's per-session step clocks).
@@ -548,10 +544,7 @@ fn run_deterministic(
 
     for k in 0..cfg.sessions {
         let t0 = Instant::now();
-        let outcome = match &tables {
-            Some(tables) => sim::des::simulate_compiled(d, des_config(cfg, k), tables),
-            None => sim::des::simulate(d, des_config(cfg, k)),
-        };
+        let outcome = Simulator::new(d, des_config(cfg, k), lowered).run();
         let latency_us = t0.elapsed().as_micros() as u64;
         metrics.session_latency.record(latency_us);
         // The DES runs a whole session inline: all of it is "step".
@@ -586,12 +579,11 @@ fn run_deterministic(
         };
         let conforms = outcome.conforms() && end == SessionEnd::Terminated;
         let mut violation = outcome.violation.clone();
-        // Mirror the concurrent engine's refusal synthesis: a fault-free
-        // DES deadlock under `--refuse` is the refusal biting (verified
-        // derivations are otherwise deadlock-free), attributed to the
-        // first refused primitive.
-        if violation.is_none() && end == SessionEnd::Deadlock && !cfg.refuse.is_empty() {
-            violation = Some(cfg.refuse[0].clone());
+        // Mirror the concurrent engine's refusal synthesis: a deadlock
+        // against a refused offer names that offer, which the monitor
+        // never saw.
+        if violation.is_none() && end == SessionEnd::Deadlock {
+            violation = outcome.refused.clone();
         }
         if let Some(rec) = &rec {
             rec.record(EventKind::SessionOpen, k as u64, 0, cfg.session_seed(k), 0);
@@ -657,6 +649,12 @@ fn run_deterministic(
         // it stall, or gauge queues: its stall and gauge fields stay
         // empty.)
         per_prim: BTreeMap::new(),
-        ..tally.into_report("deterministic", backend, cfg, &metrics, started)
+        ..tally.into_report(
+            "deterministic",
+            backend_desc(lowered),
+            cfg,
+            &metrics,
+            started,
+        )
     }
 }

@@ -54,9 +54,7 @@ pub mod pipeline_ext;
 pub mod session;
 mod stall;
 
-pub use compiled::{
-    lower_for, make_backend, BState, Backend, BackendKind, EntityBackend, OfferView,
-};
+pub use compiled::lower_for;
 pub use config::{BackendChoice, FaultProfile, RuntimeConfig};
 pub use distributed::{
     run_hub, run_hub_obs, run_hub_on, serve_entity, DistributedConfig, ServeConfig, ServeOutcome,

@@ -300,3 +300,36 @@ fn violations_carry_session_id_and_trace() {
         }
     }
 }
+
+/// A deadlock against a refusal names the refused offer the run blocked
+/// on — here `b2`, the only refused primitive ever offered — not the
+/// first entry of the refusal list, on both engines.
+#[test]
+fn refusal_deadlock_names_the_offer_it_blocked_on() {
+    let derived = Pipeline::load("SPEC a1; b2; exit ENDSPEC")
+        .unwrap()
+        .check()
+        .unwrap()
+        .derive()
+        .unwrap();
+    for threads in [1, 4] {
+        let cfg = RuntimeConfig::new()
+            .sessions(3)
+            .threads(threads)
+            .seed(5)
+            .refuse("z", 1)
+            .refuse("b", 2);
+        let report = runtime::run(derived.derivation(), &cfg);
+        let case = format!("threads({threads})");
+        assert_eq!(report.violations.len(), 3, "{case}");
+        for v in &report.violations {
+            assert_eq!((v.primitive.as_str(), v.place), ("b", 2), "{case}: {v:?}");
+            assert_eq!(v.trace, vec![("a".to_string(), 1)], "{case}: {v:?}");
+            assert_eq!(v.at, v.trace.len(), "{case}: {v:?}");
+        }
+        for s in &report.reports {
+            assert_eq!(s.end, runtime::SessionEnd::Deadlock, "{case}");
+            assert_eq!(s.violation, Some(("b".to_string(), 2)), "{case}");
+        }
+    }
+}

@@ -194,24 +194,36 @@ fn unbounded_recursion_falls_back_under_auto_and_errors_under_compiled() {
 /// `[>` nested inside gated parallel (`|[G]|`) lowers when the shape
 /// space stays bounded: transport3's place-3 entity (abort interrupt
 /// under a gated composition) compiles while places 1/2 (receding
-/// recursion) interpret — a per-entity mix the concurrent engine runs
-/// and reports as `mixed`. Verdicts must match the all-interpreted run.
+/// recursion) interpret — a per-entity mix both engines run and report
+/// as `mixed`. Verdicts must match the all-interpreted run; on the
+/// deterministic engine, session by session.
 #[test]
 fn disable_inside_gated_parallel_lowers_where_bounded() {
     let d = derived("transport3_abort.lotos");
-    let base = RuntimeConfig::new()
-        .sessions(4)
-        .threads(4)
-        .seed(0xC0FFEE)
-        .max_steps(20_000)
-        .refuse("abort", 2);
-    let auto = d.load_test(&base.clone());
-    assert_eq!(auto.backend, "mixed", "expected a per-entity backend mix");
-    let interp = d.load_test(&base.clone().backend(BackendChoice::Interpreted));
-    assert_eq!(interp.backend, "interpreted");
-    assert!(auto.passed(), "mixed-backend run failed");
-    assert!(interp.passed(), "interpreted run failed");
-    assert_eq!(auto.conforming, interp.conforming);
+    for threads in [1, 4] {
+        let base = RuntimeConfig::new()
+            .sessions(4)
+            .threads(threads)
+            .seed(0xC0FFEE)
+            .max_steps(20_000)
+            .refuse("abort", 2);
+        let auto = d.load_test(&base.clone());
+        let ctx = format!("threads({threads})");
+        assert_eq!(auto.backend, "mixed", "{ctx}: expected a per-entity mix");
+        let interp = d.load_test(&base.clone().backend(BackendChoice::Interpreted));
+        assert_eq!(interp.backend, "interpreted", "{ctx}");
+        assert!(auto.passed(), "{ctx}: mixed-backend run failed");
+        assert!(interp.passed(), "{ctx}: interpreted run failed");
+        assert_eq!(auto.conforming, interp.conforming, "{ctx}");
+        if threads == 1 {
+            for (a, b) in auto.reports.iter().zip(&interp.reports) {
+                assert_eq!(a.end, b.end, "{ctx} session {}", a.id);
+                assert_eq!(a.conforms, b.conforms, "{ctx} session {}", a.id);
+                assert_eq!(a.steps, b.steps, "{ctx} session {}", a.id);
+                assert_eq!(a.messages, b.messages, "{ctx} session {}", a.id);
+            }
+        }
+    }
 }
 
 /// The deterministic engine is reproducible under fault profiles too —

@@ -7,6 +7,9 @@
 //! * [`term`] — runtime terms ([`term::RTerm`]), transition labels
 //!   ([`term::Label`]), process environments with lazy unfolding, and the
 //!   process-occurrence numbering of paper §3.5 ([`term::OccTable`]);
+//! * [`backend`] — how a derived entity is stepped at run time
+//!   (interpreted terms or compiled tables) and the one offer classifier
+//!   every engine shares;
 //! * [`sos`] — the transition relation (all of Annex A's operators,
 //!   including `exit`/δ, `>>`, `[>` and `hide`);
 //! * [`lts`] — explicit finite LTS construction with state caps;
@@ -34,6 +37,7 @@
 //! assert_eq!(weak_equiv(&lx, &ly), Some(true));
 //! ```
 
+pub mod backend;
 pub mod bisim;
 pub mod condense;
 pub mod detdfa;

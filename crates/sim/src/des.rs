@@ -1,7 +1,9 @@
 //! Discrete-event simulation of the derived protocol entities.
 //!
-//! Each entity interprets its derived behaviour term; the medium delivers
-//! messages over per-channel FIFO queues after seeded random delays
+//! Each entity is stepped through a [`semantics::backend::Backend`] —
+//! its interpreted term or its compiled table, the same backend and offer
+//! classifier the concurrent and distributed engines use; the medium
+//! delivers messages over per-channel FIFO queues after seeded random delays
 //! (paper Section 1: "each of the messages is delivered after an
 //! arbitrary delay"). Local actions execute instantaneously at the
 //! current clock; the clock advances only when every entity is blocked on
@@ -15,20 +17,18 @@
 
 use crate::lossy::{ArqChannel, Frame, LossyLink};
 use crate::monitor::ServiceMonitor;
-use lotos::event::SyncKind;
+use lotos::event::{MsgId, SyncKind};
 use lotos::place::PlaceId;
 use medium::{Msg, Order};
 use protogen::derive::Derivation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use semantics::hash::FxHashMap;
-use semantics::lower::{CompiledEntity, OccBase, OccSrc};
-use semantics::sos::transitions;
-use semantics::term::{Env, Label, OccTable, RTerm};
-use std::cell::RefCell;
+use semantics::backend::{make_backend, BState, Backend, EntityBackend, OfferView};
+use semantics::engine::TermArena;
+use semantics::lower::CompiledEntity;
+use semantics::term::{Label, OccTable};
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Simulation configuration.
 #[derive(Clone, Debug)]
@@ -288,6 +288,10 @@ pub struct SimOutcome {
     /// Index of that violation in `trace`: the run keeps stepping after
     /// the monitor latches, so it need not be the last primitive.
     pub violation_at: Option<usize>,
+    /// On a deadlock, the first primitive the entities offered that the
+    /// users refuse (entity order): the move the run blocked on, which
+    /// the monitor never sees.
+    pub refused: Option<(String, PlaceId)>,
     /// Whether the service could have terminated where the run did
     /// (meaningful when `result == Terminated`).
     pub service_could_terminate: bool,
@@ -309,7 +313,9 @@ struct InFlight {
 
 /// The simulator.
 pub struct Simulator {
-    machines: Vec<EntityMachine>,
+    /// One backend and cursor per entity, indexed like `places`.
+    backends: Vec<Backend>,
+    states: Vec<BState>,
     places: Vec<PlaceId>,
     channels: BTreeMap<(PlaceId, PlaceId), VecDeque<InFlight>>,
     /// Lossy-link state per directed channel (only with `cfg.link`).
@@ -342,184 +348,47 @@ impl Link {
     }
 }
 
-/// Where a move leads — an interpreted successor term, or an index into
-/// a compiled entity's transition array.
-enum Succ {
-    Term(Rc<RTerm>),
-    Row(usize),
-}
-
-enum Move {
-    Local(usize, Label, Succ),
-    Receive(usize, Label, Succ),
-    Terminate(Vec<Succ>),
-}
-
-/// One entity's behaviour, stepped either by interpreting its derived
-/// term under SOS or by walking a pre-lowered transition table. Both
-/// expose offers in the same (SOS) order, so a run draws the same move
-/// for the same seed whichever machine is underneath — the property the
-/// backend-parity suite pins down.
-enum EntityMachine {
-    Interp {
-        env: Env,
-        term: Rc<RTerm>,
-    },
-    Table {
-        ent: Arc<CompiledEntity>,
-        state: u32,
-        /// Occurrence registers of `state` (see `docs/COMPILED.md`).
-        regs: Vec<u32>,
-        /// The run-shared occurrence table: all entities intern through
-        /// it, so sender and receiver agree on instance numbers.
-        occ: Rc<RefCell<OccTable>>,
-        /// `(parent, site) → child` memo; interning is append-only, so
-        /// entries never go stale.
-        cache: FxHashMap<(u32, u32), u32>,
-    },
-}
-
-/// Evaluate an occurrence source against a register file, interning
-/// missing children through the shared table.
-fn eval_src(
-    src: &OccSrc,
-    regs: &[u32],
-    cache: &mut FxHashMap<(u32, u32), u32>,
-    occ: &RefCell<OccTable>,
-) -> u32 {
-    let mut v = match src.base {
-        OccBase::Root => 0,
-        OccBase::Reg(j) => regs[j as usize],
-    };
-    for &site in &src.sites {
-        v = *cache
-            .entry((v, site))
-            .or_insert_with(|| occ.borrow_mut().child(v, site));
-    }
-    v
-}
-
-impl EntityMachine {
-    /// The current state's offers, in SOS successor order.
-    fn offers(&mut self) -> Vec<(Label, Succ)> {
-        match self {
-            EntityMachine::Interp { env, term } => transitions(env, term)
-                .into_iter()
-                .map(|(l, t)| (l, Succ::Term(t)))
-                .collect(),
-            EntityMachine::Table {
-                ent,
-                state,
-                regs,
-                occ,
-                cache,
-            } => {
-                let base = ent.row_off[*state as usize] as usize;
-                ent.row(*state)
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        let v = eval_src(&t.occ, regs, cache, occ);
-                        let label = ent.labels[t.label as usize].materialize(v);
-                        (label, Succ::Row(base + i))
-                    })
-                    .collect()
-            }
-        }
-    }
-
-    fn advance(&mut self, succ: Succ) {
-        match (self, succ) {
-            (EntityMachine::Interp { term, .. }, Succ::Term(t)) => *term = t,
-            (
-                EntityMachine::Table {
-                    ent,
-                    state,
-                    regs,
-                    occ,
-                    cache,
-                },
-                Succ::Row(i),
-            ) => {
-                let t = &ent.trans[i];
-                let next: Vec<u32> = t
-                    .regs
-                    .iter()
-                    .map(|s| eval_src(s, regs, cache, occ))
-                    .collect();
-                *regs = next;
-                *state = t.next;
-            }
-            _ => unreachable!("successor kind does not match machine kind"),
-        }
-    }
-
-    fn is_stop(&self) -> bool {
-        match self {
-            EntityMachine::Interp { term, .. } => matches!(&**term, RTerm::Stop),
-            EntityMachine::Table { ent, state, .. } => ent.is_stop[*state as usize],
-        }
-    }
+/// The moves enabled in one global state, in entity then row order.
+struct Enabled {
+    /// `(entity, offer index)` of every enabled τ, primitive, send and
+    /// receive.
+    steps: Vec<(usize, usize)>,
+    /// Every entity offers δ with an empty medium: global termination is
+    /// one more move, drawn after `steps`.
+    terminate: bool,
+    /// The first refused primitive offer, in entity order.
+    refused: Option<(String, PlaceId)>,
 }
 
 impl Simulator {
-    /// Set up a simulator for a derivation (interpreted entities).
-    pub fn new(d: &Derivation, cfg: SimConfig) -> Simulator {
-        let occ = Rc::new(RefCell::new(OccTable::new()));
-        let mut machines = Vec::new();
-        let mut places = Vec::new();
-        for (p, spec) in &d.entities {
-            let env = Env::with_occ(spec.clone(), Rc::clone(&occ));
-            let term = env.root();
-            machines.push(EntityMachine::Interp { env, term });
-            places.push(*p);
-        }
-        Simulator::with_machines(d, cfg, machines, places)
-    }
-
-    /// Set up a simulator stepping pre-lowered transition tables, one per
-    /// entity of `d` (in `d.entities` order).
-    pub fn new_compiled(
+    /// Set up a simulator for a derivation. `lowered` holds one entry per
+    /// entity of `d` (in `d.entities` order, as `runtime::lower_for`
+    /// returns them): a compiled table to step, or `None` to interpret
+    /// the entity's term. Both backends offer the same rows in the same
+    /// order, so a seed draws the same moves whatever the mix.
+    pub fn new(
         d: &Derivation,
         cfg: SimConfig,
-        tables: &[Arc<CompiledEntity>],
+        lowered: &[Option<Arc<CompiledEntity>>],
     ) -> Simulator {
-        assert_eq!(
-            tables.len(),
-            d.entities.len(),
-            "one compiled table per entity"
-        );
-        let occ = Rc::new(RefCell::new(OccTable::new()));
-        let mut machines = Vec::new();
-        let mut places = Vec::new();
-        for ((p, _), ent) in d.entities.iter().zip(tables) {
-            let regs = ent.init_regs(&mut occ.borrow_mut());
-            machines.push(EntityMachine::Table {
-                ent: Arc::clone(ent),
-                state: 0,
-                regs,
-                occ: Rc::clone(&occ),
-                cache: FxHashMap::default(),
-            });
-            places.push(*p);
-        }
-        Simulator::with_machines(d, cfg, machines, places)
-    }
-
-    fn with_machines(
-        d: &Derivation,
-        cfg: SimConfig,
-        machines: Vec<EntityMachine>,
-        places: Vec<PlaceId>,
-    ) -> Simulator {
-        let rng = StdRng::seed_from_u64(cfg.seed);
+        assert_eq!(lowered.len(), d.entities.len(), "one entry per entity");
+        let arena = Arc::new(TermArena::new());
+        let occ = Arc::new(Mutex::new(OccTable::new()));
+        let mut backends: Vec<Backend> = d
+            .entities
+            .iter()
+            .zip(lowered)
+            .map(|((_, spec), ent)| make_backend(spec, ent.clone(), &arena, &occ))
+            .collect();
+        let states = backends.iter_mut().map(|b| b.init()).collect();
         Simulator {
-            machines,
-            places,
+            backends,
+            states,
+            places: d.entities.iter().map(|(p, _)| *p).collect(),
             channels: BTreeMap::new(),
             links: BTreeMap::new(),
             clock: 0.0,
-            rng,
+            rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
             monitor: ServiceMonitor::new(d.service.clone()),
         }
@@ -530,6 +399,7 @@ impl Simulator {
         let mut events = Vec::new();
         let mut trace = Vec::new();
         let mut metrics = SimMetrics::default();
+        let mut refused = None;
         let result;
 
         loop {
@@ -540,8 +410,9 @@ impl Simulator {
             if self.cfg.link.is_some() {
                 self.pump_links(&mut metrics);
             }
-            let moves = self.enabled_moves();
-            if moves.is_empty() {
+            let enabled = self.enabled_moves();
+            let n_moves = enabled.steps.len() + usize::from(enabled.terminate);
+            if n_moves == 0 {
                 // Advance the clock to the next *future* arrival, if any.
                 // Messages that already arrived but cannot be consumed yet
                 // (e.g. a Rel barrier waiting behind program order) must
@@ -558,144 +429,61 @@ impl Simulator {
                         step: metrics.steps,
                         kind: SimEventKind::Deadlock,
                     });
-                    result = SimResult::Deadlock;
-                } else {
-                    result = SimResult::Deadlock; // stopped without δ
                 }
+                // Every entity stopped without δ over an empty medium is
+                // a deadlock too, just not logged as one.
+                result = SimResult::Deadlock;
+                refused = enabled.refused;
                 break;
             }
-            let choice = self.rng.gen_range(0..moves.len());
+            let choice = self.rng.gen_range(0..n_moves);
             metrics.steps += 1;
             let step = metrics.steps;
-            match moves.into_iter().nth(choice).unwrap() {
-                Move::Terminate(next) => {
-                    for (k, succ) in next.into_iter().enumerate() {
-                        self.machines[k].advance(succ);
-                    }
-                    events.push(SimEvent {
-                        time: self.clock,
-                        step,
-                        kind: SimEventKind::Terminated,
-                    });
-                    result = SimResult::Terminated;
-                    break;
+            let Some(&(k, i)) = enabled.steps.get(choice) else {
+                events.push(SimEvent {
+                    time: self.clock,
+                    step,
+                    kind: SimEventKind::Terminated,
+                });
+                result = SimResult::Terminated;
+                break;
+            };
+            let label = self.backends[k].label(i);
+            self.backends[k].step(&mut self.states[k], i);
+            let kind = match label {
+                Label::Prim { name, place } => {
+                    self.monitor.step(&name, place);
+                    trace.push((name.clone(), place));
+                    metrics.primitives += 1;
+                    metrics.per_place.entry(place).or_default().primitives += 1;
+                    SimEventKind::Prim { name, place }
                 }
-                Move::Local(k, label, succ) => {
-                    self.machines[k].advance(succ);
-                    match label {
-                        Label::Prim { name, place } => {
-                            self.monitor.step(&name, place);
-                            trace.push((name.clone(), place));
-                            metrics.primitives += 1;
-                            metrics.per_place.entry(place).or_default().primitives += 1;
-                            events.push(SimEvent {
-                                time: self.clock,
-                                step,
-                                kind: SimEventKind::Prim { name, place },
-                            });
-                        }
-                        Label::I => {
-                            events.push(SimEvent {
-                                time: self.clock,
-                                step,
-                                kind: SimEventKind::Internal {
-                                    place: self.places[k],
-                                },
-                            });
-                        }
-                        Label::Send { to, msg, occ, kind } => {
-                            let from = self.places[k];
-                            let m = Msg {
-                                from,
-                                to,
-                                id: msg,
-                                occ,
-                                kind,
-                            };
-                            metrics.messages += 1;
-                            *metrics.messages_per_kind.entry(m.kind).or_default() += 1;
-                            metrics.per_place.entry(from).or_default().sent += 1;
-                            if let Some(link_cfg) = self.cfg.link {
-                                // hand the message to the link layer
-                                let link = self.links.entry((from, to)).or_insert_with(|| {
-                                    // without ARQ the link sends each frame
-                                    // exactly once: an infinite timeout
-                                    // disables retransmission
-                                    Link::new(if link_cfg.arq {
-                                        link_cfg.arq_timeout
-                                    } else {
-                                        f64::INFINITY
-                                    })
-                                });
-                                link.arq.submit(m.clone());
-                            } else {
-                                let delay =
-                                    self.rng.gen_range(self.cfg.delay_min..=self.cfg.delay_max);
-                                let q = self.channels.entry((from, to)).or_default();
-                                let arrive = match self.cfg.order {
-                                    // FIFO: delivery cannot overtake the queue
-                                    Order::Fifo => {
-                                        let floor =
-                                            q.back().map(|x| x.arrive).unwrap_or(self.clock);
-                                        floor.max(self.clock) + delay
-                                    }
-                                    Order::Arbitrary => self.clock + delay,
-                                };
-                                q.push_back(InFlight {
-                                    msg: m.clone(),
-                                    arrive,
-                                });
-                                metrics.max_queue_depth = metrics.max_queue_depth.max(q.len());
-                            }
-                            events.push(SimEvent {
-                                time: self.clock,
-                                step,
-                                kind: SimEventKind::Sent(m),
-                            });
-                        }
-                        other => unreachable!("local move with label {other}"),
-                    }
-                }
-                Move::Receive(k, label, succ) => {
-                    let Label::Recv { from, msg, occ, .. } = label else {
-                        unreachable!()
+                Label::I => SimEventKind::Internal {
+                    place: self.places[k],
+                },
+                Label::Send { to, msg, occ, kind } => {
+                    let m = Msg {
+                        from: self.places[k],
+                        to,
+                        id: msg,
+                        occ,
+                        kind,
                     };
+                    self.send(m.clone(), &mut metrics);
+                    SimEventKind::Sent(m)
+                }
+                Label::Recv { from, msg, occ, .. } => {
                     let here = self.places[k];
                     metrics.per_place.entry(here).or_default().received += 1;
-                    if self.cfg.link.is_some() {
-                        let link = self.links.get_mut(&(from, here)).unwrap();
-                        let delivered = link.arq.take_delivered().unwrap();
-                        debug_assert!(delivered.id == msg && delivered.occ == occ);
-                        self.machines[k].advance(succ);
-                        events.push(SimEvent {
-                            time: self.clock,
-                            step,
-                            kind: SimEventKind::Delivered(delivered),
-                        });
-                        continue;
-                    }
-                    let q = self.channels.get_mut(&(from, here)).unwrap();
-                    let idx = match self.cfg.order {
-                        Order::Fifo => 0,
-                        Order::Arbitrary => q
-                            .iter()
-                            .position(|x| {
-                                x.arrive <= self.clock && x.msg.id == msg && x.msg.occ == occ
-                            })
-                            .unwrap(),
-                    };
-                    let inflight = q.remove(idx).unwrap();
-                    if q.is_empty() {
-                        self.channels.remove(&(from, here));
-                    }
-                    self.machines[k].advance(succ);
-                    events.push(SimEvent {
-                        time: self.clock,
-                        step,
-                        kind: SimEventKind::Delivered(inflight.msg),
-                    });
+                    SimEventKind::Delivered(self.consume(from, here, &msg, occ))
                 }
-            }
+                Label::Delta => unreachable!("δ is never an enabled step"),
+            };
+            events.push(SimEvent {
+                time: self.clock,
+                step,
+                kind,
+            });
         }
 
         metrics.end_time = self.clock;
@@ -707,12 +495,74 @@ impl Simulator {
             result,
             violation: self.monitor.violation().cloned(),
             violation_at: self.monitor.violation_at(),
+            refused,
             service_could_terminate,
         }
     }
 
+    /// Hand a sent message to the medium: the link layer when one is
+    /// configured, else its channel queue after a seeded delay.
+    fn send(&mut self, m: Msg, metrics: &mut SimMetrics) {
+        let (from, to) = (m.from, m.to);
+        metrics.messages += 1;
+        *metrics.messages_per_kind.entry(m.kind).or_default() += 1;
+        metrics.per_place.entry(from).or_default().sent += 1;
+        if let Some(link_cfg) = self.cfg.link {
+            let link = self.links.entry((from, to)).or_insert_with(|| {
+                // without ARQ the link sends each frame exactly once: an
+                // infinite timeout disables retransmission
+                Link::new(if link_cfg.arq {
+                    link_cfg.arq_timeout
+                } else {
+                    f64::INFINITY
+                })
+            });
+            link.arq.submit(m);
+            return;
+        }
+        let delay = self.rng.gen_range(self.cfg.delay_min..=self.cfg.delay_max);
+        let q = self.channels.entry((from, to)).or_default();
+        let arrive = match self.cfg.order {
+            // FIFO: delivery cannot overtake the queue
+            Order::Fifo => {
+                let floor = q.back().map(|x| x.arrive).unwrap_or(self.clock);
+                floor.max(self.clock) + delay
+            }
+            Order::Arbitrary => self.clock + delay,
+        };
+        q.push_back(InFlight { msg: m, arrive });
+        metrics.max_queue_depth = metrics.max_queue_depth.max(q.len());
+    }
+
+    /// Take the message a classified-receivable receive consumes off the
+    /// medium.
+    fn consume(&mut self, from: PlaceId, here: PlaceId, msg: &MsgId, occ: u32) -> Msg {
+        if self.cfg.link.is_some() {
+            let link = self.links.get_mut(&(from, here)).unwrap();
+            let delivered = link.arq.take_delivered().unwrap();
+            debug_assert!(delivered.id == *msg && delivered.occ == occ);
+            return delivered;
+        }
+        let q = self.channels.get_mut(&(from, here)).unwrap();
+        let idx = match self.cfg.order {
+            Order::Fifo => 0,
+            Order::Arbitrary => q
+                .iter()
+                .position(|x| x.arrive <= self.clock && x.msg.id == *msg && x.msg.occ == occ)
+                .unwrap(),
+        };
+        let inflight = q.remove(idx).unwrap();
+        if q.is_empty() {
+            self.channels.remove(&(from, here));
+        }
+        inflight.msg
+    }
+
     fn all_stopped(&self) -> bool {
-        self.machines.iter().all(|m| m.is_stop())
+        self.backends
+            .iter()
+            .zip(&self.states)
+            .all(|(b, s)| b.is_stop(s))
     }
 
     /// Earliest in-flight arrival (or link-layer deadline) strictly after
@@ -793,42 +643,32 @@ impl Simulator {
         metrics.retransmissions = self.links.values().map(|l| l.arq.retransmissions).sum();
     }
 
-    fn enabled_moves(&mut self) -> Vec<Move> {
-        let mut out = Vec::new();
-        let mut deltas: Vec<Option<Succ>> = Vec::with_capacity(self.machines.len());
-        for k in 0..self.machines.len() {
+    fn enabled_moves(&mut self) -> Enabled {
+        let mut enabled = Enabled {
+            steps: Vec::new(),
+            terminate: true,
+            refused: None,
+        };
+        for k in 0..self.backends.len() {
             let here = self.places[k];
-            let mut delta = None;
-            for (l, succ) in self.machines[k].offers() {
-                match &l {
-                    Label::Prim { name, place } => {
-                        let refused = self.cfg.refuse.iter().any(|(n, p)| n == name && p == place);
-                        if !refused {
-                            out.push(Move::Local(k, l, succ));
-                        }
-                    }
-                    Label::I => out.push(Move::Local(k, l, succ)),
-                    Label::Send { .. } => out.push(Move::Local(k, l, succ)),
-                    Label::Recv { from, msg, occ, .. } => {
-                        if self.receivable(*from, here, msg, *occ) {
-                            out.push(Move::Receive(k, l, succ));
-                        }
-                    }
-                    Label::Delta => delta = Some(succ),
-                }
+            let n = self.backends[k].offers(&self.states[k]);
+            let row = self.backends[k].classify(n, &self.cfg.refuse, |offer| match *offer {
+                OfferView::Recv { from, msg, occ, .. } => self.receivable(from, here, msg, occ),
+                _ => true,
+            });
+            enabled
+                .steps
+                .extend(row.enabled.into_iter().map(|i| (k, i)));
+            enabled.terminate &= row.delta;
+            if enabled.refused.is_none() {
+                enabled.refused = row.refused;
             }
-            deltas.push(delta);
         }
-        let in_flight: usize = self.channels.values().map(|q| q.len()).sum();
-        if in_flight == 0 && deltas.iter().all(|d| d.is_some()) {
-            out.push(Move::Terminate(
-                deltas.into_iter().map(|d| d.unwrap()).collect(),
-            ));
-        }
-        out
+        enabled.terminate &= self.channels.values().all(|q| q.is_empty());
+        enabled
     }
 
-    fn receivable(&self, from: PlaceId, to: PlaceId, id: &lotos::event::MsgId, occ: u32) -> bool {
+    fn receivable(&self, from: PlaceId, to: PlaceId, id: &MsgId, occ: u32) -> bool {
         if self.cfg.link.is_some() {
             // link layer: the head of the in-order delivered queue
             return match self
@@ -855,26 +695,15 @@ impl Simulator {
     }
 }
 
-/// Run one simulation of a derivation.
+/// Run one simulation of a derivation, interpreting every entity.
 pub fn simulate(d: &Derivation, cfg: SimConfig) -> SimOutcome {
-    verify_stack(move || Simulator::new(d, cfg).run())
+    on_big_stack(move || Simulator::new(d, cfg, &vec![None; d.entities.len()]).run())
 }
 
-/// Run one simulation stepping pre-lowered transition tables (one per
-/// entity, in `d.entities` order) instead of interpreting terms. Same
-/// seed, same moves, same outcome as [`simulate`] — just faster per
-/// step. Entity stepping is iterative, but the conformance monitor
-/// still interprets the service term, so the big-stack harness stays.
-pub fn simulate_compiled(
-    d: &Derivation,
-    cfg: SimConfig,
-    tables: &[Arc<CompiledEntity>],
-) -> SimOutcome {
-    verify_stack(move || Simulator::new_compiled(d, cfg, tables).run())
-}
-
-/// Deeply recursive entities build deep terms; give the interpreter room.
-fn verify_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+/// Run `f` on a thread with a 256 MiB stack: deeply recursive entities
+/// build deep terms, and both the entity interpreter and the conformance
+/// monitor recurse over them.
+pub fn on_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
     std::thread::scope(|s| {
         std::thread::Builder::new()
             .stack_size(256 << 20)
@@ -1008,6 +837,18 @@ mod tests {
         let total_recv: usize = load.values().map(|l| l.received).sum();
         assert_eq!(total_sent, o.metrics.messages);
         assert_eq!(total_recv, o.metrics.messages);
+    }
+
+    #[test]
+    fn deadlock_names_the_refused_offer_it_blocked_on() {
+        let cfg = SimConfig::new().refuse("z", 1).refuse("b", 2);
+        let o = run("SPEC a1; b2; exit ENDSPEC", cfg);
+        assert_eq!(o.result, SimResult::Deadlock);
+        assert_eq!(o.trace, vec![("a".into(), 1)]);
+        assert_eq!(o.refused, Some(("b".into(), 2)));
+        let o = run("SPEC a1; b2; exit ENDSPEC", SimConfig::new().refuse("z", 1));
+        assert_eq!(o.result, SimResult::Terminated);
+        assert_eq!(o.refused, None);
     }
 
     #[test]

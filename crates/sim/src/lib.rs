@@ -1,7 +1,11 @@
 //! # `sim` — distributed simulation of derived protocols
 //!
 //! A discrete-event simulator for the protocol entities produced by
-//! `protogen`: every entity runs its derived behaviour, synchronization
+//! `protogen`: every entity runs its derived behaviour — stepped through
+//! the same [`semantics::backend`] (interpreted terms or compiled tables,
+//! one offer classifier) as the runtime's concurrent and distributed
+//! engines, so differencing the engines compares media, not
+//! steppers — synchronization
 //! messages travel through per-channel FIFO queues with seeded random
 //! delays (the paper's "arbitrary delay" medium, Section 1), and the
 //! global stream of service primitives is validated *online* against the
