@@ -441,6 +441,31 @@ pub fn make_backend(
     }
 }
 
+/// Move the interpreted entities of a run (which share one arena, as
+/// [`make_backend`] builds them) into a fresh arena, keeping only the
+/// terms their current states reach, and return that arena.
+/// The run's old arena and the engines' memo tables are dropped with
+/// their dead terms, which bounds what a long run retains. Occurrence
+/// numbering is untouched (the occurrence table stays shared), and the
+/// moved states offer the same rows in the same order as before.
+pub fn compact(backends: &mut [Backend], states: &mut [BState]) -> Arc<TermArena> {
+    let arena = Arc::new(TermArena::new());
+    let mut moved = FxHashMap::default();
+    for (backend, s) in backends.iter_mut().zip(states) {
+        if let Backend::Interpreted(b) = backend {
+            let old = &b.engine;
+            let engine =
+                Engine::with_shared(old.spec.clone(), Arc::clone(&arena), old.occ_handle());
+            let t = old
+                .arena()
+                .copy_into(TermId::from_raw(s.id), &arena, &mut moved);
+            s.id = t.raw();
+            *b = InterpretedBackend::new(engine);
+        }
+    }
+    arena
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -220,17 +220,47 @@ impl TermArena {
         self.shards[sh].store.get(idx as usize)
     }
 
-    /// Number of distinct interned terms.
+    /// Number of distinct interned terms. Lock-free: each shard publishes
+    /// its count when it stores a node.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.map.lock().expect("arena shard poisoned").len())
+            .map(|s| s.store.len.load(std::sync::atomic::Ordering::Acquire))
             .sum()
     }
 
     /// Is the arena empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Intern the term `t` of this arena, and everything it reaches, in
+    /// `to`. `moved` maps terms already copied (shared subterms are
+    /// copied once) and may be reused across calls with the same pair of
+    /// arenas. Transitions never depend on id values, so the copy steps
+    /// exactly like the original.
+    pub(crate) fn copy_into(
+        &self,
+        t: TermId,
+        to: &TermArena,
+        moved: &mut FxHashMap<TermId, TermId>,
+    ) -> TermId {
+        if let Some(&n) = moved.get(&t) {
+            return n;
+        }
+        let mut copy = |c: &TermId| self.copy_into(*c, to, moved);
+        let node = match self.node(t) {
+            n @ (TermNode::Stop | TermNode::Exit | TermNode::Call { .. }) => n.clone(),
+            TermNode::Prefix(l, rest) => TermNode::Prefix(l.clone(), copy(rest)),
+            TermNode::Choice(a, b) => TermNode::Choice(copy(a), copy(b)),
+            TermNode::Par(sync, a, b) => TermNode::Par(sync.clone(), copy(a), copy(b)),
+            TermNode::Enable(a, b) => TermNode::Enable(copy(a), copy(b)),
+            TermNode::Disable(a, b) => TermNode::Disable(copy(a), copy(b)),
+            TermNode::Hide(gates, inner) => TermNode::Hide(Arc::clone(gates), copy(inner)),
+        };
+        let n = to.intern(node);
+        moved.insert(t, n);
+        n
     }
 }
 

@@ -11,6 +11,12 @@
 //! and interleaving between entities — is resolved uniformly at random
 //! from the seed, so runs are reproducible.
 //!
+//! Interpreted entities share one term arena per run. A term that keeps
+//! growing leaves dead terms behind at every step, so the simulator
+//! compacts the arena to the live states as it grows
+//! ([`semantics::backend::compact`]): a long run retains what its
+//! states reach, not everything it ever interned.
+//!
 //! The simulator drives every run through a [`ServiceMonitor`] so that
 //! each executed primitive is checked against the service on the fly, and
 //! collects the message metrics of Section 4.3.
@@ -23,7 +29,7 @@ use medium::{Msg, Order};
 use protogen::derive::Derivation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use semantics::backend::{make_backend, BState, Backend, EntityBackend, OfferView};
+use semantics::backend::{compact, make_backend, BState, Backend, EntityBackend, OfferView};
 use semantics::engine::TermArena;
 use semantics::lower::CompiledEntity;
 use semantics::term::{Label, OccTable};
@@ -324,7 +330,17 @@ pub struct Simulator {
     rng: StdRng,
     cfg: SimConfig,
     monitor: ServiceMonitor,
+    /// The interpreted entities' term arena. A growing term leaves dead
+    /// terms behind at every step; once the arena holds `compact_at`
+    /// terms, the live ones move to a fresh arena.
+    arena: Arc<TermArena>,
+    compact_at: usize,
+    /// Least `compact_at`: runs that never reach it never compact.
+    term_budget: usize,
 }
+
+/// Arena size below which a run never compacts its terms (a few MB).
+const TERM_BUDGET: usize = 1 << 14;
 
 /// One directed lossy channel: the ARQ machine plus the frames and acks
 /// currently on the wire.
@@ -391,11 +407,18 @@ impl Simulator {
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
             monitor: ServiceMonitor::new(d.service.clone()),
+            arena,
+            compact_at: TERM_BUDGET,
+            term_budget: TERM_BUDGET,
         }
     }
 
     /// Run to completion (termination, deadlock, or the step limit).
     pub fn run(mut self) -> SimOutcome {
+        self.run_to_end()
+    }
+
+    fn run_to_end(&mut self) -> SimOutcome {
         let mut events = Vec::new();
         let mut trace = Vec::new();
         let mut metrics = SimMetrics::default();
@@ -406,6 +429,12 @@ impl Simulator {
             if metrics.steps >= self.cfg.max_steps {
                 result = SimResult::StepLimit;
                 break;
+            }
+            if self.arena.len() >= self.compact_at {
+                self.arena = compact(&mut self.backends, &mut self.states);
+                // amortized: the next compaction waits for as many new
+                // terms as this one kept
+                self.compact_at = (2 * self.arena.len()).max(self.term_budget);
             }
             if self.cfg.link.is_some() {
                 self.pump_links(&mut metrics);
@@ -849,6 +878,74 @@ mod tests {
         let o = run("SPEC a1; b2; exit ENDSPEC", SimConfig::new().refuse("z", 1));
         assert_eq!(o.result, SimResult::Terminated);
         assert_eq!(o.refused, None);
+    }
+
+    /// Example 5 with `e1` refused recurses forever, and every `a1`
+    /// nests one more `>> c2; d3; exit` around the live term.
+    fn growing(seed: u64, steps: usize, term_budget: usize) -> (SimOutcome, usize) {
+        let src = include_str!("../../../specs/example5_choice.lotos");
+        let d = derive(&parse_spec(src).unwrap()).unwrap();
+        let cfg = SimConfig::new().seed(seed).refuse("e", 1).max_steps(steps);
+        on_big_stack(|| {
+            let mut sim = Simulator::new(&d, cfg, &vec![None; d.entities.len()]);
+            sim.term_budget = term_budget;
+            sim.compact_at = term_budget;
+            let o = sim.run_to_end();
+            (o, sim.arena.len())
+        })
+    }
+
+    #[test]
+    fn growing_term_run_keeps_its_arena_bounded() {
+        let (o, retained) = growing(1, 12_000, TERM_BUDGET);
+        assert_eq!(o.result, SimResult::StepLimit);
+        // without compaction this run interns millions of terms
+        assert!(retained < 2 * TERM_BUDGET, "{retained} terms retained");
+    }
+
+    /// Compacting each time the arena doubles its live terms must not
+    /// change a run: every spec of the corpus, reliable and lossy, yields
+    /// the same event log.
+    #[test]
+    fn compaction_does_not_change_the_run() {
+        for seed in 0..4 {
+            let (a, _) = growing(seed, 1_500, TERM_BUDGET);
+            let (b, retained) = growing(seed, 1_500, 64);
+            assert!(retained < 4_000, "seed {seed}: {retained} terms retained");
+            assert_eq!(a.result, b.result, "seed {seed}");
+            assert_eq!(a.events, b.events, "seed {seed}");
+        }
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        let mut specs = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|x| x != "lotos") {
+                continue;
+            }
+            specs += 1;
+            let src = std::fs::read_to_string(&path).unwrap();
+            let d = derive(&parse_spec(&src).unwrap()).unwrap();
+            let none = vec![None; d.entities.len()];
+            for (seed, link) in [(0, None), (1, None), (2, Some(LinkConfig::default()))] {
+                let cfg = SimConfig {
+                    seed,
+                    link,
+                    max_steps: 400,
+                    ..SimConfig::default()
+                };
+                let run = |term_budget| {
+                    let mut sim = Simulator::new(&d, cfg.clone(), &none);
+                    sim.term_budget = term_budget;
+                    sim.compact_at = term_budget;
+                    sim.run_to_end()
+                };
+                let (a, b) = on_big_stack(|| (run(TERM_BUDGET), run(1)));
+                let at = format!("{} seed {seed}", path.display());
+                assert_eq!(a.result, b.result, "{at}");
+                assert_eq!(a.events, b.events, "{at}");
+            }
+        }
+        assert_eq!(specs, 9);
     }
 
     #[test]
